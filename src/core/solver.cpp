@@ -7,7 +7,6 @@
 #include <mutex>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -27,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/fan_out.hpp"
 #include "util/rng.hpp"
 
 namespace dlsched {
@@ -866,27 +866,38 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
 
   // Within-batch dedupe: byte-identical (request, solver) jobs are solved
   // and validated once, then copied.  `primary_of[i] == i` marks the job
-  // that actually runs.
+  // that actually runs.  A job's identity is its precomputed hash when the
+  // caller already holds one.
   std::vector<std::size_t> primary_of(jobs.size());
-  std::unordered_map<std::string, std::size_t> first_by_key;
-  first_by_key.reserve(jobs.size());
-  std::size_t primary_count = 0;
+  std::vector<std::size_t> primaries;
+  std::vector<std::string> computed_hashes;  // stable: reserved up front
+  computed_hashes.reserve(static_cast<std::size_t>(
+      std::count_if(jobs.begin(), jobs.end(), [](const BatchJobView& job) {
+        return job.job_hash.empty();
+      })));
+  std::unordered_map<std::string_view, std::size_t> first_by_hash;
+  first_by_hash.reserve(jobs.size());
   {
     obs::ObsSpan dedupe_span("batch", "dedupe");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       DLSCHED_EXPECT(jobs[i].request != nullptr, "null request in batch job");
-      const auto [it, inserted] = first_by_key.try_emplace(
-          job_hash_hex(jobs[i].solver, *jobs[i].request), i);
+      std::string_view hash = jobs[i].job_hash;
+      if (hash.empty()) {
+        hash = computed_hashes.emplace_back(
+            job_hash_hex(jobs[i].solver, *jobs[i].request));
+      }
+      const auto [it, inserted] = first_by_hash.try_emplace(hash, i);
       primary_of[i] = it->second;
-      if (inserted) ++primary_count;
+      if (inserted) primaries.push_back(i);
     }
   }
+  const std::size_t primary_count = primaries.size();
   obs::MetricsRegistry::process().add("batch.jobs", jobs.size());
   obs::MetricsRegistry::process().add("batch.deduped",
                                       jobs.size() - primary_count);
   // Follower lists, reported to the progress hook as the per-primary
   // attribution view (`BatchProgress::duplicates`).  Built once up front;
-  // read-only while the pool runs.
+  // read-only while the lanes run.
   std::vector<std::vector<std::size_t>> followers_of(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (primary_of[i] != i) followers_of[primary_of[i]].push_back(i);
@@ -900,7 +911,6 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
     const BatchJobView& job = jobs[index];
     BatchOutcome& outcome = outcomes[index];
     outcome.solver = job.solver;
-    if (primary_of[index] != index) return;  // copied after the pool joins
     if (stop.load(std::memory_order_relaxed)) {
       outcome.cancelled = true;
       outcome.error = "cancelled by batch progress hook";
@@ -931,26 +941,8 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
     }
   };
 
-  std::size_t thread_count =
-      threads != 0 ? threads : std::thread::hardware_concurrency();
-  thread_count = std::max<std::size_t>(
-      1, std::min(thread_count, jobs.size()));
-  if (thread_count == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < jobs.size();
-             i = next.fetch_add(1)) {
-          run_job(i);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  fan_out(primary_count, lane_count(threads, primary_count),
+          [&](std::size_t k) { run_job(primaries[k]); });
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (primary_of[i] == i) continue;
@@ -967,7 +959,7 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJob> jobs,
   std::vector<BatchJobView> views;
   views.reserve(jobs.size());
   for (const BatchJob& job : jobs) {
-    views.push_back({job.solver, &job.request});
+    views.push_back({job.solver, &job.request, {}});
   }
   return solve_batch(views, threads, progress);
 }

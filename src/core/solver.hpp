@@ -6,7 +6,7 @@
 // makes that comparison an architectural fact: each algorithm is wrapped in
 // a `Solver` adapter registered by name in the `SolverRegistry`, every
 // consumer (CLI, benches, figure sweeps, tests) selects back-ends by name,
-// and `solve_batch` fans a set of jobs across a thread pool with every
+// and `solve_batch` fans a set of jobs across a persistent pool with every
 // produced schedule re-checked by the independent validator.
 //
 // Adding an algorithm means registering one adapter; no consumer changes.
@@ -263,6 +263,11 @@ struct BatchJob {
 struct BatchJobView {
   std::string solver;
   const SolveRequest* request = nullptr;
+  /// `job_hash_hex(solver, *request)` when the caller already holds it
+  /// (the planner, the cache lookup, the daemon's admission); empty makes
+  /// `solve_batch` compute it.  It must be that exact value: the batch
+  /// dedupes on it.  Viewed, not owned -- it must outlive the call.
+  std::string_view job_hash;
 };
 
 /// Outcome of one batch job.  `ok` means the solve completed and the
@@ -302,7 +307,7 @@ struct BatchProgress {
 };
 
 /// Optional per-job completion hook for `solve_batch`: invoked serially
-/// (never concurrently, under an internal mutex) from worker threads after
+/// (never concurrently, under an internal mutex) from the batch lanes after
 /// each primary job's outcome -- including validation -- is final.  The
 /// experiment layer uses it to checkpoint finished results into the shared
 /// result cache and refresh work-stealing claim heartbeats mid-shard.
@@ -311,15 +316,23 @@ struct BatchProgress {
 using BatchProgressHook =
     std::function<bool(const BatchProgress&, const BatchOutcome&)>;
 
-/// Runs every job on a pool of `threads` std::threads (0 = hardware
-/// concurrency, capped at the job count) and validates each produced
-/// schedule through schedule/validator.  Outcomes are returned in job
-/// order regardless of thread interleaving; a throwing job yields an
-/// outcome with `solved == false` instead of aborting the batch.
-/// Byte-identical (request, solver) jobs are solved and validated once;
-/// duplicates receive a copy of the outcome with `deduped` set.
-/// `progress`, when given, is called serially after each primary job and
-/// may cancel the remainder of the batch (see `BatchProgressHook`).
+/// Runs every job on `threads` lanes (0 = hardware concurrency, capped at
+/// the number of distinct jobs) and validates each produced schedule
+/// through schedule/validator.  The lanes are the calling thread plus
+/// helpers from one process-wide pool of parked threads (util/fan_out.hpp):
+/// the pool grows lazily to the largest lane count any caller asks for and
+/// is shared by concurrent callers, and a caller always works through its
+/// own jobs, so a batch completes even when every helper is busy elsewhere.
+/// One lane runs the jobs inline.  No helper is alive across `fork()`:
+/// they are joined before it and respawn on demand in both processes.
+/// Outcomes are returned in job order regardless of lane interleaving; a
+/// throwing job yields an outcome with `solved == false` instead of
+/// aborting the batch.  Byte-identical (request, solver) jobs are solved
+/// and validated once; duplicates receive a copy of the outcome with
+/// `deduped` set.  `progress`, when given, is called serially after each
+/// primary job and may cancel the remainder of the batch (see
+/// `BatchProgressHook`); an exception it throws ends the batch and
+/// propagates to the caller.
 [[nodiscard]] std::vector<BatchOutcome> solve_batch(
     std::span<const BatchJob> jobs, std::size_t threads = 0,
     const BatchProgressHook& progress = {});

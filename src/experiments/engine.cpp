@@ -66,7 +66,7 @@ CachedRun run_solver_cached(ResultCache& cache, const std::string& solver,
   if (std::optional<CachedSolve> hit = cache.lookup(hash, key)) {
     return {*hit, true};
   }
-  const BatchJobView view{solver, &request};
+  const BatchJobView view{solver, &request, hash};
   const std::vector<BatchOutcome> outcomes =
       solve_batch(std::span<const BatchJobView>(&view, 1), 1);
   CachedSolve solve = cached_from_outcome(outcomes.front());

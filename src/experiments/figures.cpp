@@ -1,13 +1,10 @@
 #include "experiments/figures.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
-
 #include "core/solver.hpp"
 #include "core/throughput.hpp"
 #include "schedule/rounding.hpp"
 #include "sim/des_executor.hpp"
+#include "util/fan_out.hpp"
 #include "util/stats.hpp"
 
 namespace dlsched::experiments {
@@ -106,29 +103,8 @@ EnsembleRow run_ensemble(const FigureConfig& config,
     }
   };
 
-  std::size_t thread_count = config.threads != 0
-                                 ? config.threads
-                                 : std::thread::hardware_concurrency();
-  thread_count = std::max<std::size_t>(1, std::min(thread_count,
-                                                   config.platforms));
-  if (thread_count == 1) {
-    for (std::size_t trial = 0; trial < config.platforms; ++trial) {
-      run_trial(trial);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t trial = next.fetch_add(1);
-             trial < config.platforms; trial = next.fetch_add(1)) {
-          run_trial(trial);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  fan_out(config.platforms, lane_count(config.threads, config.platforms),
+          run_trial);
 
   // Deterministic fold in trial order.
   Accumulator inc_c_lp;

@@ -29,9 +29,10 @@ struct FigureConfig {
   std::uint64_t seed = 20061408;        ///< base seed (deterministic)
   double comm_speed_up = 1.0;           ///< Figure 13(b) uses 10
   double comp_speed_up = 1.0;           ///< Figure 13(a) uses 10
-  /// Worker threads for the ensemble (0 = hardware concurrency).  Results
-  /// are bit-identical regardless of thread count: per-trial seeds are
-  /// derived up front and trial results folded in trial order.
+  /// Lanes for the ensemble on the shared helper pool (util/fan_out.hpp;
+  /// 0 = hardware concurrency).  Results are bit-identical regardless of
+  /// lane count: per-trial seeds are derived up front and trial results
+  /// folded in trial order.
   std::size_t threads = 0;
 };
 

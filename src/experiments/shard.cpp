@@ -146,12 +146,14 @@ std::vector<CompiledShard> plan_shards(const ExperimentSpec& spec) {
                 ++cell.skipped;
                 continue;
               }
-              id_key << job_hash_hex(solver, cell.request) << ' ';
+              std::string job_hash = job_hash_hex(solver, cell.request);
+              id_key << job_hash << ' ';
               GridSlot slot;
               slot.z = z;
               slot.rep = rep;
               slot.seed = seed;
               slot.solver = solver;
+              slot.job_hash = std::move(job_hash);
               cell.slots.push_back(std::move(slot));
             }
             shard.cells.push_back(std::move(cell));
@@ -198,47 +200,56 @@ ShardResult execute_shard(const ExperimentSpec& spec,
     result.jobs += cell.slots.size();
     result.skipped += cell.skipped;
 
-    // ----- cache pass, then one thread-pooled batch over the misses -------
+    // ----- cache pass, then one pooled batch over the misses ---------------
     // Keys are computed from the unhinted request; `warm_alpha` is
     // excluded from the canonical serialization, so hinted and unhinted
-    // solves of the same job share one cache entry.
+    // solves of the same job share one cache entry (and one job hash).
+    // The canonical key only verifies and writes cache entries, so it is
+    // built only when the cache is on; a disabled cache misses without it.
     std::vector<CachedSolve> solves(cell.slots.size());
     std::vector<SolveRequest> hinted;  // stable storage for the views
     std::vector<BatchJobView> views;
     std::vector<std::size_t> view_slot;
-    std::vector<std::pair<std::string, std::string>> view_keys;  // hash, key
+    std::vector<std::string> view_keys;  // canonical keys, cache on only
     hinted.reserve(cell.slots.size());
     for (std::size_t i = 0; i < cell.slots.size(); ++i) {
       const GridSlot& slot = cell.slots[i];
-      const std::string key = job_canonical_key(slot.solver, cell.request);
-      const std::string hash = job_hash_from_key(key);
-      if (std::optional<CachedSolve> hit = cache.lookup(hash, key)) {
+      std::string key;
+      if (cache.enabled()) key = job_canonical_key(slot.solver, cell.request);
+      if (std::optional<CachedSolve> hit = cache.lookup(slot.job_hash, key)) {
         solves[i] = std::move(*hit);
         ++result.cache_hits;
         continue;
       }
-      SolveRequest request = cell.request;
+      // Only a warm-start hint needs its own copy of the request.
+      const SolveRequest* request = &cell.request;
       if (const auto it = prev_alpha.find(slot.solver);
           it != prev_alpha.end()) {
-        request.warm_alpha = it->second;
+        hinted.push_back(cell.request);
+        hinted.back().warm_alpha = it->second;
+        request = &hinted.back();
       }
-      hinted.push_back(std::move(request));
-      views.push_back({slot.solver, &hinted.back()});
+      views.push_back({slot.solver, request, slot.job_hash});
       view_slot.push_back(i);
-      view_keys.emplace_back(hash, key);
+      if (cache.enabled()) view_keys.push_back(std::move(key));
     }
     // Checkpoint each finished job into the cache immediately (the hook
     // is serialized by solve_batch): if this worker dies mid-shard,
     // whoever reclaims the stale claim re-runs the shard as cache hits up
-    // to the point of the crash.
-    const BatchProgressHook hook = [&](const BatchProgress& progress,
-                                       const BatchOutcome& outcome) {
-      cache.store(view_keys[progress.job_index].first,
-                  view_keys[progress.job_index].second,
-                  cached_from_outcome(outcome));
-      if (checkpoint) checkpoint();
-      return true;
-    };
+    // to the point of the crash.  With no cache and no checkpoint there is
+    // nothing to do per job, and the batch runs without a hook.
+    BatchProgressHook hook;
+    if (cache.enabled() || checkpoint) {
+      hook = [&](const BatchProgress& progress, const BatchOutcome& outcome) {
+        if (cache.enabled()) {
+          const std::size_t v = progress.job_index;
+          cache.store(cell.slots[view_slot[v]].job_hash, view_keys[v],
+                      cached_from_outcome(outcome));
+        }
+        if (checkpoint) checkpoint();
+        return true;
+      };
+    }
     const std::vector<BatchOutcome> outcomes =
         solve_batch(std::span<const BatchJobView>(views), threads, hook);
     for (std::size_t v = 0; v < outcomes.size(); ++v) {

@@ -44,6 +44,10 @@ struct GridSlot {
   std::size_t rep = 0;
   std::uint64_t seed = 0;
   std::string solver;
+  /// `job_hash_hex(solver, cell request)`, computed once by the planner
+  /// (it is part of the shard id) and reused as the cache file name and
+  /// the batch dedupe identity.
+  std::string job_hash;
 };
 
 /// One latency point of a shard: the (send, return) latency coordinates

@@ -252,7 +252,7 @@ std::string Coordinator::handle_lease_payload(const std::string& payload) {
       for (const experiments::GridSlot& slot : cell.slots) {
         WireCacheEntry entry;
         entry.key = job_canonical_key(slot.solver, cell.request);
-        entry.hash = job_hash_from_key(entry.key);
+        entry.hash = slot.job_hash;
         if (const std::optional<experiments::CachedSolve> hit =
                 cache_.lookup(entry.hash, entry.key)) {
           entry.body = encode_result_body(*hit);
@@ -422,6 +422,11 @@ void Coordinator::handle_connection(int fd) {
         break;
       }
     }
+  }
+  // Forget the fd before closing it (see Server::handle_connection).
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    std::erase(connection_fds_, fd);
   }
   ::close(fd);
 }

@@ -162,6 +162,13 @@ void Server::handle_connection(int fd) {
       }
     }
   }
+  // Forget the fd before closing it: once closed, its number may be
+  // reused by any socket in the process, and stop() must never
+  // shutdown() that one.
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    std::erase(connection_fds_, fd);
+  }
   ::close(fd);
 }
 
@@ -316,7 +323,8 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
   std::vector<BatchJobView> views;
   views.reserve(live.size());
   for (const std::size_t i : live) {
-    views.push_back({batch[i]->wire.solver, &batch[i]->wire.request});
+    views.push_back(
+        {batch[i]->wire.solver, &batch[i]->wire.request, batch[i]->hash});
   }
 
   // The hook answers a primary AND its deduped followers the moment the

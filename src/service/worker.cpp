@@ -271,7 +271,7 @@ TcpWorkerSummary run_tcp_worker(const TcpWorkerOptions& options,
       for (const experiments::GridSlot& slot : cell.slots) {
         WireCacheEntry entry;
         entry.key = job_canonical_key(slot.solver, cell.request);
-        entry.hash = job_hash_from_key(entry.key);
+        entry.hash = slot.job_hash;
         if (const auto hit = cache.lookup(entry.hash, entry.key)) {
           entry.body = encode_result_body(*hit);
           push.records.push_back(std::move(entry));

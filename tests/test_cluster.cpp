@@ -26,6 +26,7 @@
 #include "experiments/engine.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/spec.hpp"
+#include "fd_reuse.hpp"
 #include "service/client.hpp"
 #include "service/coordinator.hpp"
 #include "service/net.hpp"
@@ -392,6 +393,16 @@ TEST(ClusterStats, StatsQueryExposesTheBoardGauges) {
   EXPECT_NE(json.find("\"lease_reassignments\": 0"), std::string::npos)
       << json;
   coordinator.stop();
+}
+
+TEST(ClusterStats, StopLeavesReusedConnectionFdNumbersAlone) {
+  ScratchDir scratch("fdreuse");
+  const ExperimentSpec spec = small_grid_spec();
+  ResultCache cache(scratch.dir() + "/cache");
+  service::Coordinator coordinator(spec, plan_shards(spec), cache,
+                                   service::CoordinatorConfig{});
+  fd_probe::expect_stop_spares_reused_fd_numbers(
+      coordinator.endpoint(), [&] { coordinator.stop(); });
 }
 
 TEST(ClusterDrain, DrainingCoordinatorSendsWorkersAway) {

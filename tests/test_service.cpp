@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "experiments/cache.hpp"
+#include "fd_reuse.hpp"
 #include "obs/metrics.hpp"
 #include "platform/generators.hpp"
 #include "service/client.hpp"
@@ -349,6 +350,15 @@ TEST(ServeDaemon, GarbageBytesGetProtocolErrorsNeverCrashes) {
   }
   EXPECT_GE(server.stats().protocol_errors, 3u);
   server.stop();
+}
+
+TEST(ServeDaemon, StopLeavesReusedConnectionFdNumbersAlone) {
+  const TestPaths paths = test_paths("fdreuse");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  Server server(config);
+  fd_probe::expect_stop_spares_reused_fd_numbers(paths.socket,
+                                                 [&] { server.stop(); });
 }
 
 TEST(ServeReplay, StreamRoundTripsAndReplayReportsHitRatio) {

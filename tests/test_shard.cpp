@@ -194,6 +194,35 @@ TEST(ShardPlanner, UnionOfShardsIsTheFullGrid) {
   EXPECT_EQ(summary.shards, shards.size());
 }
 
+TEST(ShardPlanner, SlotHashesAreTheJobHashesOfTheirCells) {
+  // The planner's hash is reused as the cache file name and the batch
+  // dedupe identity, so it must be exactly job_hash_hex of the cell's
+  // request -- also on latency cells with per-worker overrides, and for
+  // the warm-hinted copies execute_shard solves.
+  ExperimentSpec latency = small_grid_spec();
+  latency.generator = "correlated";
+  latency.generator_params = {{"lat_lo", 0.5}, {"lat_hi", 1.5}};
+  latency.solvers = {"affine_fifo", "affine_subset"};
+  latency.send_latencies = {0.0, 0.02};
+  latency.return_latencies = {0.01};
+  std::size_t slots = 0;
+  for (const ExperimentSpec& spec : {small_grid_spec(), latency}) {
+    for (const CompiledShard& shard : plan_shards(spec)) {
+      for (const GridCell& cell : shard.cells) {
+        SolveRequest hinted = cell.request;
+        hinted.warm_alpha.assign(cell.request.platform.size(), 0.5);
+        for (const GridSlot& slot : cell.slots) {
+          EXPECT_EQ(slot.job_hash, job_hash_hex(slot.solver, cell.request))
+              << shard.id << ' ' << slot.solver;
+          EXPECT_EQ(slot.job_hash, job_hash_hex(slot.solver, hinted));
+          ++slots;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(slots, 16u + 2u * 2u * 2u * 2u * 2u);
+}
+
 TEST(ShardPlanner, RejectsNonGridKinds) {
   EXPECT_THROW((void)plan_shards(find_builtin_spec("fig10")), Error);
 }

@@ -3,13 +3,24 @@
 // dominate the ablation heuristics.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "core/solver.hpp"
+#include "obs/trace.hpp"
 #include "platform/generators.hpp"
 #include "schedule/validator.hpp"
 #include "util/error.hpp"
+#include "util/fan_out.hpp"
 #include "util/rng.hpp"
 
 namespace dlsched {
@@ -374,6 +385,147 @@ TEST(SolveBatch, ProgressHookCanCancelTheRemainder) {
     EXPECT_TRUE(outcomes[i].cancelled) << i;
     EXPECT_NE(outcomes[i].error.find("cancelled"), std::string::npos);
   }
+}
+
+// ------------------------------------------------------------ solve pool --
+
+/// `count` distinct cheap jobs over four solvers (no dedupe).
+std::vector<BatchJob> pool_jobs(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  const char* solvers[] = {"lifo", "inc_c", "fifo_optimal", "inc_w"};
+  std::vector<BatchJob> jobs;
+  for (std::size_t i = 0; i < count; ++i) {
+    BatchJob job{solvers[i % 4], {}};
+    job.request.platform = gen::random_star(4 + i % 3, rng, 0.5);
+    job.request.precision = Precision::Fast;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+/// Everything about an outcome that does not depend on timing.
+bool same_answers(const std::vector<BatchOutcome>& a,
+                  const std::vector<BatchOutcome>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].solver != b[i].solver || a[i].solved != b[i].solved ||
+        a[i].ok != b[i].ok || a[i].deduped != b[i].deduped ||
+        a[i].result.throughput() != b[i].result.throughput() ||
+        a[i].result.solution_double().alpha !=
+            b[i].result.solution_double().alpha) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SolvePool, ConcurrentCallersGetTheSerialOutcomes) {
+  const std::vector<BatchJob> jobs = pool_jobs(12, 41);
+  const std::vector<BatchOutcome> serial = solve_batch(jobs, 1);
+  // Two callers share the pool at once; when one holds every helper the
+  // other runs its own jobs, so neither can wait forever.
+  std::vector<BatchOutcome> results[2][4];
+  std::thread callers[2];
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers[c] = std::thread([&, c] {
+      for (std::vector<BatchOutcome>& out : results[c]) {
+        out = solve_batch(jobs, 4);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < 2; ++c) {
+    for (const std::vector<BatchOutcome>& out : results[c]) {
+      EXPECT_TRUE(same_answers(out, serial)) << "caller " << c;
+    }
+  }
+}
+
+TEST(SolvePool, ForkedChildRunsAPooledBatch) {
+  const std::vector<BatchJob> jobs = pool_jobs(8, 42);
+  const std::vector<BatchOutcome> serial = solve_batch(jobs, 1);
+  ASSERT_TRUE(same_answers(solve_batch(jobs, 4), serial));
+  ASSERT_GT(fan_out_helpers(), 0u);  // the pool is up before the fork
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // No helper survived the fork; the child's pool respawns its own.
+    const bool ok = fan_out_helpers() == 0 &&
+                    same_answers(solve_batch(jobs, 4), serial);
+    ::_exit(ok ? 0 : 1);
+  }
+  // A hang in the child fails the test instead of stalling the suite.
+  int status = 0;
+  pid_t done = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    (void)::waitpid(pid, &status, 0);
+    FAIL() << "forked child did not finish its batch within 60 s";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  // The parent's helpers respawn too.
+  EXPECT_TRUE(same_answers(solve_batch(jobs, 4), serial));
+}
+
+TEST(SolvePool, RepeatedBatchesReuseTheSameLanes) {
+  const std::vector<BatchJob> jobs = pool_jobs(4, 43);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable("solve-pool-test");
+  for (int i = 0; i < 50; ++i) (void)solve_batch(jobs, 4);
+  const obs::ProcessTrace trace = tracer.drain();
+  tracer.disable();
+  std::set<std::uint32_t> lanes;
+  std::size_t solves = 0;
+  for (const obs::SpanRecord& span : trace.spans) {
+    lanes.insert(span.lane);
+    if (span.category == "solve") ++solves;
+  }
+  EXPECT_GE(solves, 200u);
+  // The caller plus the same three parked helpers, not a new thread (and
+  // a new tracer lane) per job.
+  EXPECT_LE(lanes.size(), 4u);
+}
+
+TEST(FanOut, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t lanes : {1u, 2u, 4u, 9u}) {
+    std::vector<int> hits(37, 0);
+    fan_out(hits.size(), lanes, [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 37) << lanes;
+  }
+}
+
+TEST(FanOut, RethrowsTheFirstFailureOnTheCaller) {
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(fan_out(64, 4,
+                       [&](std::size_t i) {
+                         ++ran;
+                         if (i == 3) throw std::runtime_error("job 3");
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(1));
+                       }),
+               std::runtime_error);
+  EXPECT_LT(ran.load(), 64u);  // the range closed after the failure
+  // The pool is healthy afterwards.
+  std::atomic<std::size_t> after{0};
+  fan_out(16, 4, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 16u);
+}
+
+TEST(FanOut, LaneCountResolvesHardwareAndCaps) {
+  EXPECT_EQ(lane_count(4, 2), 2u);
+  EXPECT_EQ(lane_count(3, 10), 3u);
+  EXPECT_EQ(lane_count(5, 0), 1u);
+  EXPECT_GE(lane_count(0, 1000), 1u);
+  EXPECT_EQ(lane_count(0, 1), 1u);
 }
 
 }  // namespace
