@@ -7,9 +7,7 @@
 //   dlsched_bench --spec-file my_sweep.toml
 //   dlsched_bench --all                       # every built-in spec
 //   dlsched_bench --cache-stats [--cache-dir DIR]   # result-cache hygiene
-//   dlsched_bench --spec smoke --workers 3    # forked work-stealing run
-//   dlsched_bench --spec smoke --shard 0/4    # one slice, fragments only
-//   dlsched_bench --spec smoke --join         # merge published fragments
+//   dlsched_bench --spec smoke --workers 3    # 3 forked local TCP workers
 //   dlsched_bench --spec smoke --coordinator 127.0.0.1:7601   # TCP board
 //   dlsched_bench --worker tcp://127.0.0.1:7601               # TCP worker
 //
@@ -24,18 +22,14 @@
 //   --quick           shrink axes (CI smoke: same shape, small grid)
 //   --seed N          override the spec's seed block
 //   --repetitions N   override instances per grid point
-//   --workers N       fork N work-stealing worker processes over the
-//                     shard board in the shared cache dir, then join
-//   --shard i/k       worker role: execute shards with index%k == i and
-//                     publish fragments (grid specs; artifacts via --join)
-//   --join            deterministic merge of published fragments
-//   --stale-seconds S claim heartbeat timeout before a shard is stolen
-//                     (accepted: 0.05 to 3600 seconds)
-//   --coordinator HOST:PORT   own the claim board over TCP; with
-//                     --workers N forks N local TCP workers, with
-//                     --workers auto[:MAX] autoscales them to the
-//                     backlog, alone it waits for external --worker
-//                     processes
+//   --workers N       fork N local TCP worker processes that lease
+//                     shards from a coordinator (grid specs; needs the
+//                     cache); --workers auto[:MAX] autoscales the fleet
+//                     to the backlog.  The coordinator listens on
+//                     127.0.0.1:0 unless --coordinator names an address
+//   --coordinator HOST:PORT   own the claim board over TCP on this
+//                     address; without --workers it waits for external
+//                     --worker processes
 //   --lease-ttl S     shard lease TTL before the coordinator reassigns
 //                     an unrenewed lease (accepted: 0.05 to 3600 seconds)
 //   --trace FILE      record obs spans across every process of the run
@@ -43,11 +37,9 @@
 //                     them into one Chrome trace_event JSON timeline --
 //                     load it in Perfetto or about:tracing.  Workers
 //                     ship their spans back automatically (FragmentPush
-//                     trace section on the TCP board, `.part.trace`
-//                     sidecars on the filesystem board); the run summary
-//                     gains a per-phase attribution table and the BENCH
-//                     JSON a "phases" trailer.  Off by default at zero
-//                     recording cost.
+//                     trace section); the run summary gains a per-phase
+//                     attribution table and the BENCH JSON a "phases"
+//                     trailer.  Off by default at zero recording cost.
 //   --worker tcp://HOST:PORT  run as a remote TCP worker: lease shards,
 //                     solve, stream fragments back (no spec needed;
 //                     options: --worker-id ID, --threads N,

@@ -100,8 +100,9 @@ int usage(std::ostream& out, int code) {
          "  --svg FILE / --width N / --noise SEED / --chrome-trace FILE\n"
          "bench options: --spec/--spec-file/--list-specs plus\n"
          "  --out/--csv/--cache-dir/--no-cache/--quick\n"
-         "  cluster: --coordinator HOST:PORT [--workers N|auto[:MAX]]\n"
-         "           [--lease-ttl S] | --worker tcp://HOST:PORT\n";
+         "  distributed: --workers N|auto[:MAX] (forked local fleet)\n"
+         "           [--coordinator HOST:PORT] [--lease-ttl S]\n"
+         "           | --worker tcp://HOST:PORT\n";
   return code;
 }
 

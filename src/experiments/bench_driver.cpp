@@ -6,8 +6,6 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
-#include <tuple>
-#include <utility>
 
 #include "experiments/engine.hpp"
 #include "experiments/spec_registry.hpp"
@@ -53,14 +51,14 @@ int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
   return 0;
 }
 
-/// `--workers auto[:MAX]` / `--workers N` with `--coordinator`; plain
-/// `--workers N` keeps meaning the filesystem-board worker fleet.
+/// `--workers N` forks N local TCP workers; `--workers auto[:MAX]`
+/// autoscales them to the backlog.  Either starts a coordinator (on
+/// 127.0.0.1:0 unless `--coordinator` names the address); without the
+/// flag a `--coordinator` waits for external `--worker` processes.
 void parse_workers(const CliArgs& args, RunOptions& options) {
   const std::optional<std::string> text = args.get("workers");
-  if (text && text->rfind("auto", 0) == 0) {
-    DLSCHED_EXPECT(!options.coordinator.empty(),
-                   "--workers auto needs --coordinator HOST:PORT "
-                   "(autoscaling drives the TCP claim board)");
+  if (!text) return;
+  if (text->rfind("auto", 0) == 0) {
     options.autoscale = true;
     if (text->size() > 4) {
       const std::string max_text =
@@ -80,14 +78,7 @@ void parse_workers(const CliArgs& args, RunOptions& options) {
   const std::int64_t workers = args.get_int("workers", 1);
   DLSCHED_EXPECT(workers >= 1,
                  "--workers wants a positive process count or auto[:MAX]");
-  if (!options.coordinator.empty()) {
-    // With a coordinator the flag sizes the local TCP worker fleet; no
-    // flag means passive (external workers connect with --worker).
-    options.cluster_workers =
-        text ? static_cast<std::size_t>(workers) : 0;
-  } else {
-    options.workers = static_cast<std::size_t>(workers);
-  }
+  options.workers = static_cast<std::size_t>(workers);
 }
 
 int list_specs() {
@@ -143,29 +134,6 @@ int cache_stats(const CliArgs& args) {
   return 0;
 }
 
-/// Parses `--shard i/k` into (index, count); throws on malformed values.
-/// Both halves must be plain digit runs -- std::stoul would happily wrap
-/// "1/-2" into a huge count that silently runs a single shard.
-std::pair<std::size_t, std::size_t> parse_shard(const std::string& text) {
-  const auto digits = [](const std::string& s) {
-    return !s.empty() && s.find_first_not_of("0123456789") == std::string::npos;
-  };
-  const std::size_t slash = text.find('/');
-  std::size_t index = 0, count = 0;
-  try {
-    DLSCHED_EXPECT(slash != std::string::npos, "missing '/'");
-    const std::string i_text = text.substr(0, slash);
-    const std::string k_text = text.substr(slash + 1);
-    DLSCHED_EXPECT(digits(i_text) && digits(k_text), "digits only");
-    index = std::stoul(i_text);
-    count = std::stoul(k_text);
-    DLSCHED_EXPECT(count > 0 && index < count, "need i < k and k > 0");
-  } catch (const std::exception&) {
-    DLSCHED_FAIL("--shard wants i/k with 0 <= i < k (got '" + text + "')");
-  }
-  return {index, count};
-}
-
 int run_one(ExperimentSpec spec, const CliArgs& args,
             std::chrono::steady_clock::time_point run_epoch) {
   if (args.has("seed")) {
@@ -203,24 +171,10 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
     options.coordinator = *coordinator;
   }
   parse_workers(args, options);
-  if (const auto shard = args.get("shard")) {
-    std::tie(options.shard_index, options.shard_count) = parse_shard(*shard);
-    // A slice publishes fragments; the artifacts belong to --join.
-    options.out_json.clear();
-    options.out_csv.clear();
-  }
-  options.join_only = args.has("join");
   options.cache_max_bytes =
       static_cast<std::uint64_t>(args.get_int("cache-max-bytes", 0));
-  // Both staleness knobs share one accepted range: long enough to be a
-  // real heartbeat period, short enough that a dead worker's shard is
-  // reassigned within the hour.
-  options.stale_seconds =
-      args.get_double("stale-seconds", options.stale_seconds);
-  DLSCHED_EXPECT(
-      options.stale_seconds >= 0.05 && options.stale_seconds <= 3600.0,
-      "--stale-seconds " + format_double(options.stale_seconds, 6) +
-          " is out of range (accepted: 0.05 to 3600 seconds)");
+  // Long enough to be a real heartbeat period, short enough that a dead
+  // worker's shard is reassigned within the hour.
   options.lease_ttl_seconds =
       args.get_double("lease-ttl", options.lease_ttl_seconds);
   DLSCHED_EXPECT(
@@ -228,7 +182,7 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
           options.lease_ttl_seconds <= 3600.0,
       "--lease-ttl " + format_double(options.lease_ttl_seconds, 6) +
           " is out of range (accepted: 0.05 to 3600 seconds)");
-  if (!options.coordinator.empty()) {
+  if (options.distributed()) {
     // SIGTERM/SIGINT drain the coordinator instead of killing the run.
     std::signal(SIGTERM, on_bench_signal);
     std::signal(SIGINT, on_bench_signal);
@@ -242,13 +196,24 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
 
 const std::vector<std::string>& bench_flags() {
   static const std::vector<std::string>* flags = new std::vector<std::string>{
-      "list-specs", "list-generators", "all",     "quick",
-      "no-cache",   "no-json",         "no-csv",  "cache-stats",
-      "join"};
+      "list-specs", "list-generators", "all",    "quick",
+      "no-cache",   "no-json",         "no-csv", "cache-stats"};
   return *flags;
 }
 
 int bench_main(const CliArgs& args) {
+  // Every option the driver reads; anything else -- a typo, or an option
+  // an older build accepted -- must fail loudly, not run a different job.
+  static const std::vector<std::string>* known = [] {
+    auto* all = new std::vector<std::string>(bench_flags());
+    all->insert(all->end(),
+                {"spec", "spec-file", "out", "csv", "cache-dir",
+                 "cache-max-bytes", "threads", "seed", "repetitions",
+                 "filter", "trace", "workers", "coordinator", "lease-ttl",
+                 "worker", "worker-id", "scratch-dir", "abandon-after"});
+    return all;
+  }();
+  args.reject_unknown(*known);
   // Stamp the run epoch and start the tracer before any spec parsing so
   // the root span (and wall_seconds) covers parse + plan time.
   const auto run_epoch = std::chrono::steady_clock::now();

@@ -16,7 +16,6 @@
 
 #include "experiments/emitter.hpp"
 #include "experiments/figures.hpp"
-#include "experiments/scheduler.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/special_runs.hpp"
 #include "service/coordinator.hpp"
@@ -125,19 +124,17 @@ ExperimentSpec shrink(ExperimentSpec spec) {
 // ------------------------------------------------------------------- grid --
 //
 // The grid pipeline is sharded (experiments/shard.hpp): one shard per
-// (p, z) axis point, each executed through the cached, thread-pooled
-// `solve_batch` and emitted as soon as it completes.  Four execution modes
-// share the planner and the assembler, so their artifacts are
-// byte-identical over the same result cache:
+// (p, z, rep) axis point, each executed through the cached, thread-pooled
+// `solve_batch`.  Two execution modes share the planner and the
+// assembler, so their artifacts are byte-identical over the same result
+// cache:
 //
 //   * in-process (default): shards run sequentially, rows stream into the
-//     artifact as each (p, z) slice finishes;
-//   * `--workers N`: N forked worker processes race over the shard board
-//     (work stealing via claim files), the parent joins the fragments;
-//   * `--shard i/k`: this process executes the static slice
-//     `index % k == i` and publishes fragments only (for external
-//     orchestration across machines sharing the cache directory);
-//   * `--join`: no solving, just the deterministic fragment merge.
+//     artifact as each shard finishes;
+//   * distributed (`--workers`, `--coordinator`): a TCP coordinator owns
+//     the shard board, local forked workers and external `--worker`
+//     processes lease shards from it, and the coordinator assembles the
+//     fragments they push back.
 
 /// In-process streaming execution: shards in planner order, each emitted
 /// on completion.
@@ -153,159 +150,9 @@ void run_grid(const ExperimentSpec& spec, const RunOptions& options,
   assembler.finish();
 }
 
-/// `--shard i/k`: execute a static slice, publish fragments, no artifacts.
-void run_grid_slice(const ExperimentSpec& spec, const RunOptions& options,
-                    ResultCache& cache, RunSummary& summary,
-                    std::ostream& log) {
-  const std::vector<CompiledShard> shards = plan_shards(spec);
-  ShardBoard board(board_directory(options.cache_dir, spec, shards));
-  const std::string worker_id =
-      "slice" + std::to_string(options.shard_index);
-  for (const CompiledShard& shard : shards) {
-    if (shard.index % options.shard_count != options.shard_index) continue;
-    ++summary.shards;
-    const ShardResult result =
-        execute_shard(spec, shard, cache, options.threads);
-    summary.jobs += result.jobs;
-    summary.cache_hits += result.cache_hits;
-    summary.deduped += result.deduped;
-    summary.solved += result.solved;
-    summary.failures += result.failures;
-    summary.skipped += result.skipped;
-    board.publish(shard, serialize_shard_result(result), worker_id);
-    if (obs::Tracer::instance().enabled()) {
-      board.publish_trace(
-          shard, obs::encode_trace(obs::Tracer::instance().drain()),
-          worker_id);
-    }
-  }
-  log << "published " << summary.shards << " of " << shards.size()
-      << " shard fragment(s) to " << board.directory()
-      << "; assemble with --join once every slice has run\n";
-}
-
-/// Deterministic merge of published fragments into the artifacts.  Shared
-/// by `--join` and the `--workers` parent.
-void join_board(const ExperimentSpec& spec,
-                const std::vector<CompiledShard>& shards, ShardBoard& board,
-                ResultCache& cache, BenchJsonWriter* json, std::ostream* csv,
-                RunSummary& summary, std::ostream& log,
-                std::vector<obs::ProcessTrace>* traces = nullptr) {
-  summary.shards = shards.size();
-  std::vector<ShardResult> results;
-  results.reserve(shards.size());
-  std::string missing;
-  for (const CompiledShard& shard : shards) {
-    if (std::optional<ShardResult> result = board.load(shard)) {
-      results.push_back(std::move(*result));
-    } else {
-      missing += ' ' + shard.id;
-    }
-  }
-  DLSCHED_EXPECT(missing.empty(),
-                 "cannot join '" + spec.name +
-                     "': missing shard fragment(s):" + missing +
-                     " (run the remaining --shard slices or workers first)");
-  ShardAssembler assembler(json, csv, summary, log);
-  for (const ShardResult& result : results) {
-    assembler.consume(result);
-    // Fold the producing workers' cache deltas into this process's
-    // counters so the summary and the last-run marker cover the whole run.
-    cache.stats.hits += result.cache.hits;
-    cache.stats.misses += result.cache.misses;
-    cache.stats.stores += result.cache.stores;
-  }
-  assembler.finish();
-  if (traces != nullptr) {
-    // Fold in the trace sidecars the workers published next to their
-    // fragments.  A torn or absent sidecar only costs its spans.
-    for (const CompiledShard& shard : shards) {
-      if (const std::optional<std::string> body = board.load_trace(shard)) {
-        try {
-          obs::merge_process_trace(*traces, obs::decode_trace(*body));
-        } catch (const std::exception&) {
-          // corrupt sidecar: ignore
-        }
-      }
-    }
-  }
-}
-
-/// `--workers N`: fork N work-stealing workers over a fresh board, wait,
-/// join their fragments.
-void run_grid_workers(const ExperimentSpec& spec, const RunOptions& options,
-                      ResultCache& cache, BenchJsonWriter* json,
-                      std::ostream* csv, RunSummary& summary,
-                      std::ostream& log,
-                      std::vector<obs::ProcessTrace>* traces = nullptr) {
-  const std::vector<CompiledShard> shards = plan_shards(spec);
-  ShardBoard board(board_directory(options.cache_dir, spec, shards));
-  // Fragments are run-scoped, unlike the content-addressed cache entries:
-  // start every --workers run from a clean board.
-  board.reset();
-  log << "running " << shards.size() << " shard(s) on " << options.workers
-      << " worker process(es), board " << board.directory() << "\n";
-  log.flush();
-
-  std::vector<pid_t> children;
-  children.reserve(options.workers);
-  for (std::size_t w = 0; w < options.workers; ++w) {
-    const pid_t pid = ::fork();
-    DLSCHED_EXPECT(pid >= 0, "fork() failed for worker " +
-                                 std::to_string(w));
-    if (pid == 0) {
-      // Worker child: claim-execute-publish until the board is complete,
-      // then _exit without touching the parent's buffered streams.
-      int code = 0;
-      try {
-        ResultCache worker_cache(options.cache_dir);
-        SchedulerOptions scheduler;
-        scheduler.worker_id =
-            "w" + std::to_string(w) + "-" + std::to_string(::getpid());
-        // The fork copied the parent's span buffers and run epoch; drop
-        // the inherited spans, keep the shared timeline, and let this
-        // child trace under its own worker id.
-        if (obs::Tracer::instance().enabled()) {
-          obs::Tracer::instance().relabel_after_fork(scheduler.worker_id);
-        }
-        scheduler.stale_seconds = options.stale_seconds;
-        scheduler.threads = options.threads;
-        (void)run_worker(spec, shards, board, worker_cache, scheduler);
-      } catch (...) {
-        code = 1;
-      }
-      ::_exit(code);
-    }
-    children.push_back(pid);
-  }
-  std::size_t worker_failures = 0;
-  for (const pid_t pid : children) {
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      ++worker_failures;
-    }
-  }
-  if (worker_failures > 0) {
-    log << worker_failures
-        << " worker(s) exited abnormally; joining the published "
-           "fragments\n";
-  }
-  join_board(spec, shards, board, cache, json, csv, summary, log, traces);
-  // The board was this run's scratch space (reset on entry, fully
-  // consumed by the join): remove it so distributed runs do not grow the
-  // cache directory past what --cache-max-bytes can see.  Boards built
-  // by external --shard slices are left for their eventual --join.
-  std::error_code cleanup;
-  std::filesystem::remove_all(board.directory(), cleanup);
-}
-
-// ---------------------------------------------------------------- cluster --
-
 /// Forks one retirable local TCP worker against `endpoint`.  The child
 /// runs the worker loop and `_exit`s without touching the parent's
-/// buffered streams (the same fork-without-exec idiom as
-/// `run_grid_workers`); its log goes to a sink that dies with it.
+/// buffered streams; its log goes to a sink that dies with it.
 pid_t spawn_cluster_worker(const std::string& endpoint, std::size_t ordinal,
                            std::size_t threads) {
   const pid_t pid = ::fork();
@@ -334,8 +181,9 @@ pid_t spawn_cluster_worker(const std::string& endpoint, std::size_t ordinal,
   ::_exit(code);
 }
 
-/// `--coordinator HOST:PORT`: own the claim board over TCP.  Local
-/// workers (`--workers N` / `--workers auto[:MAX]`) are forked as
+/// Distributed execution: own the claim board over TCP on
+/// `--coordinator HOST:PORT` (127.0.0.1:0 for a purely local fleet).
+/// Local workers (`--workers N` / `--workers auto[:MAX]`) are forked as
 /// retirable TCP workers; external ones join with
 /// `dlsched_bench --worker tcp://HOST:PORT`.  The coordinator's cache is
 /// the synchronization medium, so the joined artifacts stay
@@ -351,10 +199,11 @@ void run_grid_coordinator(const ExperimentSpec& spec,
   summary.shards = shards.size();
   const std::size_t shard_count = shards.size();
 
-  const service::net::Endpoint listen =
-      service::net::parse_endpoint(options.coordinator);
+  const std::string address =
+      options.coordinator.empty() ? "127.0.0.1:0" : options.coordinator;
+  const service::net::Endpoint listen = service::net::parse_endpoint(address);
   DLSCHED_EXPECT(listen.tcp, "--coordinator wants HOST:PORT (got '" +
-                                 options.coordinator + "')");
+                                 address + "')");
   service::CoordinatorConfig config;
   config.host = listen.host;
   config.port = listen.port;
@@ -380,12 +229,37 @@ void run_grid_coordinator(const ExperimentSpec& spec,
 
   std::vector<pid_t> children;
   std::size_t spawned = 0;
+  std::size_t worker_failures = 0;
   const auto spawn = [&] {
     children.push_back(
         spawn_cluster_worker(endpoint, spawned++, options.threads));
     coordinator.note_worker_spawned();
   };
+  // Collects the local workers that have exited; returns how many.
+  const auto reap = [&] {
+    std::size_t exited = 0;
+    for (auto it = children.begin(); it != children.end();) {
+      int status = 0;
+      if (::waitpid(*it, &status, WNOHANG) != *it) {
+        ++it;
+        continue;
+      }
+      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++worker_failures;
+      it = children.erase(it);
+      ++exited;
+    }
+    return exited;
+  };
 
+  // The fixed fleet is forked before the board starts serving: the
+  // process still has one thread, and the workers' connects wait in the
+  // listen backlog until the listener starts.
+  if (!options.autoscale) {
+    for (std::size_t w = 0; w < options.workers; ++w) spawn();
+  }
+  coordinator.start();
+
+  bool fleet_died = false;
   if (options.autoscale) {
     // Queue-depth-driven autoscaling: each 50ms tick reaps exited
     // children, then sizes the local fleet to the remaining work
@@ -399,15 +273,7 @@ void run_grid_coordinator(const ExperimentSpec& spec,
     log << "autoscaling local workers up to " << cap << "\n";
     std::size_t pending_retires = 0;
     while (!coordinator.finished() && !stop_requested()) {
-      for (auto it = children.begin(); it != children.end();) {
-        int status = 0;
-        if (::waitpid(*it, &status, WNOHANG) == *it) {
-          it = children.erase(it);
-          if (pending_retires > 0) --pending_retires;
-        } else {
-          ++it;
-        }
-      }
+      pending_retires -= std::min(reap(), pending_retires);
       const service::CoordinatorGauges gauges = coordinator.gauges();
       const std::size_t work =
           gauges.shard_backlog + gauges.leases_outstanding;
@@ -433,10 +299,8 @@ void run_grid_coordinator(const ExperimentSpec& spec,
       (void)coordinator.wait_finished(0.05);
     }
   } else {
-    for (std::size_t w = 0; w < options.cluster_workers; ++w) spawn();
-    if (options.cluster_workers > 0) {
-      log << "spawned " << options.cluster_workers
-          << " local worker(s)\n";
+    if (options.workers > 0) {
+      log << "spawned " << options.workers << " local worker(s)\n";
     } else {
       log << "waiting for external workers (dlsched_bench --worker "
           << "tcp://" << listen.host << ":" << coordinator.port() << ")\n";
@@ -444,13 +308,20 @@ void run_grid_coordinator(const ExperimentSpec& spec,
     log.flush();
     while (!coordinator.finished() && !stop_requested()) {
       (void)coordinator.wait_finished(0.1);
+      // A fixed fleet is never replaced: once every local worker has
+      // exited with shards unfinished, nobody will finish them.
+      reap();
+      if (options.workers > 0 && children.empty() &&
+          !coordinator.finished()) {
+        fleet_died = true;
+        break;
+      }
     }
   }
 
   // Granting stops either way; leased shards still stream their
   // fragments in, so drained workers exit without wasting claimed work.
   coordinator.begin_drain();
-  std::size_t worker_failures = 0;
   for (const pid_t pid : children) {
     int status = 0;
     if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
@@ -465,10 +336,10 @@ void run_grid_coordinator(const ExperimentSpec& spec,
   if (!coordinator.finished()) {
     const service::CoordinatorGauges gauges = coordinator.gauges();
     coordinator.stop();
-    // The streaming emitters opened the artifact files up front; a
-    // drained run must not leave header-only stubs behind.  The caller's
-    // still-open streams flush into the unlinked inodes, which vanish on
-    // close.
+    // The streaming emitters opened the artifact files up front; an
+    // unfinished run must not leave header-only stubs behind.  The
+    // caller's still-open streams flush into the unlinked inodes, which
+    // vanish on close.
     std::error_code ec;
     if (!options.out_json.empty()) {
       std::filesystem::remove(options.out_json, ec);
@@ -476,12 +347,15 @@ void run_grid_coordinator(const ExperimentSpec& spec,
     if (!options.out_csv.empty()) {
       std::filesystem::remove(options.out_csv, ec);
     }
-    log << "dlsched_bench: coordinator drained (" << gauges.shards_done
-        << "/" << shard_count << " shard(s) done); artifacts not written\n";
+    const std::string why = fleet_died ? "every local worker exited"
+                                       : "coordinator drained";
+    const std::string progress = std::to_string(gauges.shards_done) + "/" +
+                                 std::to_string(shard_count) +
+                                 " shard(s) done";
+    log << "dlsched_bench: " << why << " (" << progress
+        << "); artifacts not written\n";
     log.flush();
-    DLSCHED_FAIL("coordinator drained before completion (" +
-                 std::to_string(gauges.shards_done) + "/" +
-                 std::to_string(shard_count) + " shard(s) done)");
+    DLSCHED_FAIL(why + " before completion (" + progress + ")");
   }
 
   const double exec_seconds = since(phase_exec);
@@ -698,61 +572,24 @@ RunSummary run_spec(const ExperimentSpec& requested,
   // reports instead of excluding parse + plan.
   const auto start = options.run_epoch.value_or(steady_clock::now());
 
-  const bool slice = options.shard_count > 0;
-  const bool multi = options.workers > 1;
-  const bool cluster = !options.coordinator.empty();
-  if (slice || multi || options.join_only || cluster) {
+  const bool distributed = options.distributed();
+  if (distributed) {
     DLSCHED_EXPECT(spec.kind == SpecKind::Grid,
                    "spec '" + spec.name + "' is kind '" +
                        kind_name(spec.kind) +
-                       "': --workers/--shard/--join apply to grid specs "
+                       "': --workers/--coordinator apply to grid specs "
                        "only");
     DLSCHED_EXPECT(!options.cache_dir.empty(),
                    "distributed execution needs a cache directory (the "
-                   "shard board and the shared results live there); drop "
-                   "--no-cache");
-    DLSCHED_EXPECT(!(slice && (multi || options.join_only)),
-                   "--shard is a worker role; it excludes --workers and "
-                   "--join");
-    DLSCHED_EXPECT(!(multi && options.join_only),
-                   "--join assembles already-published fragments; it "
-                   "excludes --workers (which starts a fresh board)");
-    DLSCHED_EXPECT(!slice || options.shard_index < options.shard_count,
-                   "--shard i/k needs i < k");
+                   "coordinator merges every worker's results into it); "
+                   "drop --no-cache");
     DLSCHED_EXPECT(options.workers <= 256,
                    "--workers " + std::to_string(options.workers) +
-                       " is past the 256-process sanity cap");
-    DLSCHED_EXPECT(!(cluster && (slice || multi || options.join_only)),
-                   "--coordinator owns the whole run over TCP; it excludes "
-                   "the filesystem board's --workers N, --shard and --join");
-    DLSCHED_EXPECT(options.cluster_workers <= 256,
-                   "--workers " + std::to_string(options.cluster_workers) +
                        " is past the 256-process sanity cap");
   }
 
   ResultCache cache;
   if (!options.cache_dir.empty()) cache = ResultCache(options.cache_dir);
-
-  if (slice) {
-    // Worker role: execute the static slice and publish fragments;
-    // artifacts are written by the eventual --join.
-    log << "== " << spec.name << " -- " << spec.title << " [" << spec.figure
-        << "] (shard slice " << options.shard_index << "/"
-        << options.shard_count << ")\n";
-    run_grid_slice(spec, options, cache, summary, log);
-    if (options.cache_max_bytes > 0) {
-      summary.evicted = cache.evict_to(options.cache_max_bytes);
-    }
-    summary.cache = cache.stats;
-    cache.write_last_run(spec.name);
-    std::vector<obs::ProcessTrace> worker_traces;
-    finish_observability(spec, options, worker_traces, summary, nullptr,
-                         log);
-    summary.wall_seconds =
-        std::chrono::duration<double>(steady_clock::now() - start).count();
-    log << summary.describe() << "\n";
-    return summary;
-  }
 
   std::ofstream json_file;
   std::optional<BenchJsonWriter> json;
@@ -776,17 +613,9 @@ RunSummary run_spec(const ExperimentSpec& requested,
   std::vector<obs::ProcessTrace> worker_traces;
   switch (spec.kind) {
     case SpecKind::Grid:
-      if (cluster) {
+      if (distributed) {
         run_grid_coordinator(spec, options, cache, json_ptr, csv, summary,
                              log, &worker_traces);
-      } else if (multi) {
-        run_grid_workers(spec, options, cache, json_ptr, csv, summary, log,
-                         &worker_traces);
-      } else if (options.join_only) {
-        const std::vector<CompiledShard> shards = plan_shards(spec);
-        ShardBoard board(board_directory(options.cache_dir, spec, shards));
-        join_board(spec, shards, board, cache, json_ptr, csv, summary, log,
-                   &worker_traces);
       } else {
         run_grid(spec, options, cache, json_ptr, csv, summary, log);
       }

@@ -29,25 +29,22 @@ struct RunOptions {
   bool quick = false;      ///< shrink axes (CI smoke / tests)
   std::ostream* log = nullptr;  ///< tables + summary; null = std::cout
 
-  // ----- distributed execution (grid specs only; the shard board lives in
-  // the shared cache directory -- see experiments/scheduler.hpp) -----------
-  std::size_t workers = 1;       ///< >1: fork N work-stealing worker processes
-  std::size_t shard_count = 0;   ///< `--shard i/k` slice mode (0 = off):
-  std::size_t shard_index = 0;   ///<   execute shards with index % k == i,
-                                 ///<   publish fragments, skip artifacts
-  bool join_only = false;        ///< assemble published fragments, no solving
-  double stale_seconds = 300.0;  ///< claim heartbeat timeout before stealing
-
-  // ----- cluster execution (grid specs only; the claim board lives in a
-  // TCP coordinator -- see service/coordinator.hpp) ------------------------
-  std::string coordinator;       ///< "HOST:PORT" to listen on ("" = off)
-  std::size_t cluster_workers = 0;  ///< local TCP worker processes to fork
+  // ----- distributed execution (grid specs only; a TCP coordinator owns
+  // the shard board -- see service/coordinator.hpp) -----------------------
+  std::string coordinator;       ///< "HOST:PORT" to listen on ("" with a
+                                 ///<   local fleet: 127.0.0.1:0)
+  std::size_t workers = 0;       ///< local TCP worker processes to fork
   bool autoscale = false;        ///< size the local fleet to the backlog
   std::size_t autoscale_max = 0; ///< autoscale cap (0 = hardware)
   double lease_ttl_seconds = 30.0;  ///< shard lease TTL before reassignment
   /// When set, a nonzero value drains the coordinator mid-run (the signal
   /// handler hook for SIGTERM/SIGINT graceful shutdown).
   const std::atomic<int>* stop_signal = nullptr;
+
+  /// The grid runs through a coordinator instead of in-process.
+  [[nodiscard]] bool distributed() const noexcept {
+    return !coordinator.empty() || workers > 0 || autoscale;
+  }
 
   // ----- cache hygiene ----------------------------------------------------
   std::uint64_t cache_max_bytes = 0;  ///< LRU-evict down to this (0 = off)
@@ -75,7 +72,7 @@ struct RunSummary {
   std::size_t failures = 0;       ///< solve errors + validation failures
   std::size_t skipped = 0;        ///< solver inapplicable at a grid point
   std::size_t rows = 0;           ///< JSON rows emitted
-  std::size_t shards = 0;         ///< grid shards planned (or sliced/joined)
+  std::size_t shards = 0;         ///< grid shards planned
   std::size_t evicted = 0;        ///< cache entries LRU-evicted post-run
   double wall_seconds = 0.0;
   CacheStats cache;               ///< final cache counters (incl. stores)

@@ -180,8 +180,7 @@ std::string plan_fingerprint(const std::vector<CompiledShard>& shards) {
 
 ShardResult execute_shard(const ExperimentSpec& spec,
                           const CompiledShard& shard, ResultCache& cache,
-                          std::size_t threads,
-                          const std::function<void()>& checkpoint) {
+                          std::size_t threads) {
   obs::ObsSpan span("shard", "execute");
   if (span.active()) span.rename("execute:" + shard.id);
   ShardResult result;
@@ -233,20 +232,16 @@ ShardResult execute_shard(const ExperimentSpec& spec,
       view_slot.push_back(i);
       if (cache.enabled()) view_keys.push_back(std::move(key));
     }
-    // Checkpoint each finished job into the cache immediately (the hook
-    // is serialized by solve_batch): if this worker dies mid-shard,
-    // whoever reclaims the stale claim re-runs the shard as cache hits up
-    // to the point of the crash.  With no cache and no checkpoint there is
-    // nothing to do per job, and the batch runs without a hook.
+    // Store each finished job into the cache as soon as it completes (the
+    // hook is serialized by solve_batch), so an interrupted run keeps
+    // every solve it finished.  With no cache there is nothing to do per
+    // job, and the batch runs without a hook.
     BatchProgressHook hook;
-    if (cache.enabled() || checkpoint) {
+    if (cache.enabled()) {
       hook = [&](const BatchProgress& progress, const BatchOutcome& outcome) {
-        if (cache.enabled()) {
-          const std::size_t v = progress.job_index;
-          cache.store(cell.slots[view_slot[v]].job_hash, view_keys[v],
-                      cached_from_outcome(outcome));
-        }
-        if (checkpoint) checkpoint();
+        const std::size_t v = progress.job_index;
+        cache.store(cell.slots[view_slot[v]].job_hash, view_keys[v],
+                    cached_from_outcome(outcome));
         return true;
       };
     }
@@ -257,7 +252,7 @@ ShardResult execute_shard(const ExperimentSpec& spec,
       if (outcomes[v].deduped) {
         ++result.deduped;
       } else {
-        ++result.solved;  // stored by the checkpoint hook already
+        ++result.solved;  // stored by the progress hook already
       }
     }
     for (std::size_t i = 0; i < cell.slots.size(); ++i) {

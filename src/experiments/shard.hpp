@@ -3,9 +3,9 @@
 // A Grid spec's sweep is embarrassingly parallel across its (p, z) axis
 // points; this module slices the compiled grid into one shard per
 // (p, z, repetition) point so rows stream out as slices complete instead
-// of after one monolithic batch, and so independent worker processes can
-// claim slices through the scheduler (experiments/scheduler.hpp) with
-// weights fine enough to steal.  Shard ids are stable
+// of after one monolithic batch, and so worker processes can lease slices
+// from the cluster coordinator (service/coordinator.hpp) with weights
+// fine enough to balance.  Shard ids are stable
 // content-derived hashes built from the `job_hash_hex` identities of the
 // jobs inside a shard: every process that plans the same spec computes the
 // same ids with no coordination, and any change to the spec's axes, seed,
@@ -13,15 +13,14 @@
 //
 // `ShardResult` is everything one executed shard contributes to the final
 // artifacts -- rendered JSON rows plus the aggregation inputs for the
-// figure CSV -- and serializes to a fragment file, so a deterministic join
-// (`ShardAssembler` fed in planner order) reassembles out-of-order shard
-// outputs into a `BENCH_<spec>.json` byte-identical to a single-process
-// run over the same result cache.
+// figure CSV -- and serializes to a fragment (the FragmentPush body), so a
+// deterministic join (`ShardAssembler` fed in planner order) reassembles
+// out-of-order shard outputs into a `BENCH_<spec>.json` byte-identical to
+// a single-process run over the same result cache.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -96,9 +95,9 @@ struct CompiledShard {
 [[nodiscard]] std::vector<CompiledShard> plan_shards(
     const ExperimentSpec& spec);
 
-/// Fingerprint of a whole plan (hash over the shard ids): names the shard
-/// board directory so runs with different axes, seeds or `--quick` states
-/// never mix fragments.
+/// Fingerprint of a whole plan (hash over the shard ids): a worker checks
+/// its own plan of a shipped spec against the coordinator's, so runs with
+/// different axes, seeds or `--quick` states never mix fragments.
 [[nodiscard]] std::string plan_fingerprint(
     const std::vector<CompiledShard>& shards);
 
@@ -137,23 +136,19 @@ struct ShardResult {
 /// each solver's solved alpha is carried into its next-cell request as a
 /// warm-start hint.  The hint is taken from the cached record on a hit
 /// and from the fresh solution on a miss -- bit-identical either way, so
-/// artifacts do not depend on the cache state.  Completed jobs are
-/// checkpointed into the cache
-/// as they finish (via the batch progress hook), so a crashed worker's
-/// partial shard survives as cache hits for whoever reclaims the claim;
-/// `checkpoint`, when given, runs after each job on top of that (the
-/// scheduler refreshes its claim heartbeat there).
-[[nodiscard]] ShardResult execute_shard(
-    const ExperimentSpec& spec, const CompiledShard& shard,
-    ResultCache& cache, std::size_t threads,
-    const std::function<void()>& checkpoint = {});
+/// artifacts do not depend on the cache state.  Completed jobs are stored
+/// into the cache as they finish (via the batch progress hook).
+[[nodiscard]] ShardResult execute_shard(const ExperimentSpec& spec,
+                                        const CompiledShard& shard,
+                                        ResultCache& cache,
+                                        std::size_t threads);
 
-/// Serializes a shard result as a fragment file body (doubles by bit
-/// pattern: a join replays the producing run's numbers exactly).
+/// Serializes a shard result as a fragment body (doubles by bit pattern:
+/// a join replays the producing run's numbers exactly).
 [[nodiscard]] std::string serialize_shard_result(const ShardResult& result);
 
 /// Parses a fragment; returns nullopt (never throws) on any corruption so
-/// a torn or foreign file degrades to "shard not done yet".
+/// the coordinator refuses a torn or foreign push instead of failing.
 [[nodiscard]] std::optional<ShardResult> parse_shard_result(
     const std::string& text);
 
@@ -161,8 +156,8 @@ struct ShardResult {
 /// streams their rows into the BENCH JSON writer, accumulates the figure
 /// groups and the run counters, and on `finish` renders the log table and
 /// the CSV -- the one emission path shared by the in-process streaming
-/// run, the forked multi-worker run and `--join`, which is what makes
-/// their artifacts byte-identical.
+/// run and the coordinator, which is what makes their artifacts
+/// byte-identical.
 class ShardAssembler {
  public:
   ShardAssembler(BenchJsonWriter* json, std::ostream* csv,

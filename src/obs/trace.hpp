@@ -16,8 +16,7 @@
 //    on drain.  Buffers outlive their threads so pool workers' spans
 //    survive the join.
 //  - Remote processes ship their buffers as an encoded trace body (the
-//    optional `trace` section of FragmentPush, or a `.trace` sidecar
-//    next to a filesystem-board fragment); the engine merges every
+//    optional `trace` section of FragmentPush); the engine merges every
 //    `ProcessTrace` into one timeline with one pid per process label.
 #pragma once
 
@@ -150,8 +149,8 @@ class ObsSpan {
 [[nodiscard]] std::string render_trace_json(
     const std::vector<ProcessTrace>& processes);
 
-/// Text codec for shipping one process's trace across the wire or as a
-/// fragment sidecar file.  `decode_trace` throws on corrupt input.
+/// Text codec for shipping one process's trace across the wire.
+/// `decode_trace` throws on corrupt input.
 [[nodiscard]] std::string encode_trace(const ProcessTrace& trace);
 [[nodiscard]] ProcessTrace decode_trace(const std::string& body);
 

@@ -1,18 +1,11 @@
 #include "service/coordinator.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
 
 #include "service/net.hpp"
 #include "util/error.hpp"
 
 namespace dlsched::service {
-
-using net::send_all;
 
 Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
                          std::vector<experiments::CompiledShard> shards,
@@ -23,7 +16,16 @@ Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
       spec_toml_(experiments::render_spec_toml(spec)),
       fingerprint_(experiments::plan_fingerprint(shards_)),
       config_(std::move(config)),
-      cache_(cache) {
+      cache_(cache),
+      listener_(net::listen_tcp(config_.host, config_.port, port_), stats_,
+                {{FrameType::LeaseRequest,
+                  [this](const std::string& payload) {
+                    return handle_lease_payload(payload);
+                  }},
+                 {FrameType::FragmentPush,
+                  [this](const std::string& payload) {
+                    return handle_fragment_payload(payload);
+                  }}}) {
   DLSCHED_EXPECT(!shards_.empty(), "coordinator: empty shard plan");
   DLSCHED_EXPECT(config_.lease_ttl_seconds > 0.0,
                  "coordinator: lease TTL must be positive");
@@ -31,15 +33,13 @@ Coordinator::Coordinator(const experiments::ExperimentSpec& spec,
   results_.resize(shards_.size());
   gauges_.cluster = true;
   gauges_.shards_total = shards_.size();
-  {
-    const std::lock_guard<std::mutex> lock(board_mutex_);
-    publish_gauges_locked();
-  }
-  listen_fd_ = net::listen_tcp(config_.host, config_.port, port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  const std::lock_guard<std::mutex> lock(board_mutex_);
+  publish_gauges_locked();
 }
 
 Coordinator::~Coordinator() { stop(); }
+
+void Coordinator::start() { listener_.start(); }
 
 std::string Coordinator::endpoint() const {
   return "tcp://" + config_.host + ":" + std::to_string(port_);
@@ -57,24 +57,7 @@ void Coordinator::stop() {
   if (stopped_) return;
   stopped_ = true;
   begin_drain();
-
-  accept_stop_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  std::vector<std::thread> connections;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    connections.swap(connection_threads_);
-  }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.stop();
 }
 
 bool Coordinator::finished() const {
@@ -127,10 +110,9 @@ void Coordinator::sweep_expired_locked() {
   const auto now = std::chrono::steady_clock::now();
   for (Slot& slot : slots_) {
     if (slot.state == SlotState::Leased && slot.deadline < now) {
-      // The TCP analogue of stealing a stale claim: the lease re-pends
-      // and the next Acquire is granted it.  A late FragmentPush from
-      // the original holder still competes -- first accepted push wins,
-      // exactly like the filesystem board's publish rename.
+      // The holder stopped renewing: the lease re-pends and the next
+      // Acquire is granted it.  A late FragmentPush from the original
+      // holder still competes -- first accepted push wins.
       slot.state = SlotState::Pending;
       slot.holder.clear();
       ++slot.reassignments;
@@ -357,78 +339,6 @@ std::string Coordinator::handle_fragment_payload(
   ack.ok = true;
   ack.message = "accepted";
   return encode_frame(FrameType::Ack, encode_ack(ack));
-}
-
-// ------------------------------------------------------------ accept side --
-
-void Coordinator::accept_loop() {
-  while (!accept_stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
-
-void Coordinator::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    // A peer that dies mid-frame leaves a partial FragmentPush in the
-    // buffer; the length prefix never completes, so the bytes are simply
-    // dropped here -- a torn push can never corrupt the board.
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    for (;;) {
-      const FrameDecode decode = try_decode_frame(buffer);
-      if (decode.status == DecodeStatus::NeedMore) break;
-      if (decode.status != DecodeStatus::Ok) {
-        stats_.on_protocol_error();
-        (void)send_all(fd,
-                       encode_frame(FrameType::ProtocolError, decode.error));
-        open = false;
-        break;
-      }
-      buffer.erase(0, decode.consumed);
-      std::string reply;
-      switch (decode.frame.type) {
-        case FrameType::LeaseRequest:
-          reply = handle_lease_payload(decode.frame.payload);
-          break;
-        case FrameType::FragmentPush:
-          reply = handle_fragment_payload(decode.frame.payload);
-          break;
-        case FrameType::StatsQuery:
-          reply = encode_frame(FrameType::StatsReport, stats_.render_json());
-          break;
-        default:
-          stats_.on_protocol_error();
-          reply = encode_frame(
-              FrameType::ProtocolError,
-              "unexpected worker frame type " +
-                  std::to_string(static_cast<int>(decode.frame.type)));
-          open = false;
-          break;
-      }
-      if (!send_all(fd, reply)) {
-        open = false;
-        break;
-      }
-    }
-  }
-  // Forget the fd before closing it (see Server::handle_connection).
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    std::erase(connection_fds_, fd);
-  }
-  ::close(fd);
 }
 
 }  // namespace dlsched::service

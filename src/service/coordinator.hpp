@@ -1,47 +1,46 @@
 // The cluster coordinator: the work-stealing shard board, owned in
 // memory and served over TCP.
 //
-// The filesystem board (experiments/scheduler.hpp) coordinates workers
-// through a shared cache directory: hard-link claims, mtime heartbeats,
-// fragment files.  A `Coordinator` carries the same semantics onto the
-// wire protocol so a grid sweep can span machines with nothing shared but
-// the network:
+// The board holds one slot per planned shard.  Workers (service/worker.hpp)
+// speak the wire protocol to it:
 //
-//   * hard-link claim        ->  shard lease with a deadline (LeaseGrant)
-//   * mtime heartbeat        ->  lease renewal (LeaseRequest kind=Renew)
-//   * rename-aside stealing  ->  lease-expiry reassignment (the sweep in
-//                                every Acquire re-pends expired leases)
-//   * fragment file          ->  FragmentPush (first accepted push wins;
-//                                duplicates are discarded, like losing
-//                                the publish rename)
+//   * LeaseRequest kind=Acquire  ->  LeaseGrant: a shard lease with a
+//                                    deadline (or Wait / Retire / Done)
+//   * LeaseRequest kind=Renew    ->  Ack: the deadline moves out one TTL
+//   * FragmentPush               ->  Ack: the shard's serialized result;
+//                                    the first accepted push wins and
+//                                    duplicates are discarded
+//
+// A lease whose deadline passes unrenewed re-pends on the next Acquire
+// sweep, so a dead worker's shard goes to someone else.
 //
 // Byte-identity is preserved by making the coordinator's `ResultCache`
 // the one synchronization medium: a Work grant ships the shard's cached
 // records (a warm worker replays them bit for bit), and an accepted
 // fragment ships the worker's fresh records back before the shard is
 // marked done.  After a cluster run, a single-process run over the
-// coordinator's cache directory renders the identical artifact -- the
-// invariant the filesystem board established in PR 4, with the cache dir
-// now private to the coordinator host.
+// coordinator's cache directory renders the identical artifact; the
+// cache directory is private to the coordinator host.
 //
-// The stats mailbox answers StatsQuery on the same port, extended with
-// the claim-board gauges (`CoordinatorGauges`).
+// Connections, framing and the StatsQuery answer belong to the shared
+// `FramedListener` (service/listener.hpp); the coordinator supplies the
+// LeaseRequest and FragmentPush handlers, and its stats report carries the
+// claim-board gauges (`CoordinatorGauges`).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "experiments/cache.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/spec.hpp"
 #include "obs/trace.hpp"
+#include "service/listener.hpp"
 #include "service/stats.hpp"
 #include "service/wire.hpp"
 
@@ -57,14 +56,19 @@ struct CoordinatorConfig {
 
 class Coordinator {
  public:
-  /// Binds, listens and spawns the accept thread.  `shards` is the full
-  /// plan in planner order; `cache` is the run's result cache (guarded
-  /// here, shared with nobody else while the coordinator lives).  Throws
-  /// `dlsched::Error` when the socket cannot be set up.
+  /// Binds and listens; starts no thread (see `start`).  `shards` is the
+  /// full plan in planner order; `cache` is the run's result cache
+  /// (guarded here, shared with nobody else while the coordinator lives).
+  /// Throws `dlsched::Error` when the socket cannot be set up.
   Coordinator(const experiments::ExperimentSpec& spec,
               std::vector<experiments::CompiledShard> shards,
               experiments::ResultCache& cache, CoordinatorConfig config);
   ~Coordinator();
+
+  /// Starts serving.  Workers that connect earlier wait in the listen
+  /// backlog, which lets the engine fork its local fleet while this
+  /// process still has a single thread.
+  void start();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -119,8 +123,6 @@ class Coordinator {
     std::size_t reassignments = 0;
   };
 
-  void accept_loop();
-  void handle_connection(int fd);
   [[nodiscard]] std::string handle_lease_payload(const std::string& payload);
   [[nodiscard]] std::string handle_fragment_payload(
       const std::string& payload);
@@ -154,13 +156,8 @@ class Coordinator {
 
   ServiceStats stats_;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::vector<std::thread> connection_threads_;  // guarded by conn_mutex_
-  std::vector<int> connection_fds_;              // guarded by conn_mutex_
-  std::mutex conn_mutex_;
-  std::atomic<bool> accept_stop_{false};
-  bool stopped_ = false;  // stop() ran (main-thread use only)
+  FramedListener listener_;  // last: its handlers use everything above
+  bool stopped_ = false;     // stop() ran (main-thread use only)
 };
 
 }  // namespace dlsched::service

@@ -134,6 +134,29 @@ int listen_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
+int listen_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  DLSCHED_EXPECT(!path.empty(), "net: empty socket path");
+  DLSCHED_EXPECT(path.size() < sizeof(addr.sun_path),
+                 "net: socket path too long for AF_UNIX ('" + path + "')");
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  DLSCHED_EXPECT(fd >= 0, "net: cannot create socket");
+  // A previous daemon's socket file would make bind fail; a *live*
+  // daemon is beyond this process's knowledge, so last-one-wins.
+  ::unlink(path.c_str());
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd, 64) != 0) {
+    const int err = errno;
+    ::close(fd);
+    DLSCHED_FAIL("net: cannot listen on '" + path +
+                 "': " + std::strerror(err));
+  }
+  return fd;
+}
+
 bool send_all(int fd, std::string_view bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {

@@ -42,6 +42,10 @@ struct Endpoint {
 [[nodiscard]] int listen_tcp(const std::string& host, std::uint16_t port,
                              std::uint16_t& bound_port);
 
+/// Binds + listens an AF_UNIX socket at `path`, replacing a stale socket
+/// file there, and returns the fd.  Throws on failure.
+[[nodiscard]] int listen_unix(const std::string& path);
+
 /// Writes all of `bytes`, riding out EINTR and partial writes with
 /// MSG_NOSIGNAL; returns false when the peer is gone.
 [[nodiscard]] bool send_all(int fd, std::string_view bytes);

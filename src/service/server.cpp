@@ -1,13 +1,8 @@
 #include "service/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -16,42 +11,28 @@
 
 namespace dlsched::service {
 
-// The framed-write loop lives in service/net.hpp now, shared with the
-// cluster coordinator and the TCP workers.
-using net::send_all;
+namespace {
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
-  DLSCHED_EXPECT(!config_.socket_path.empty(), "serve: empty socket path");
-  DLSCHED_EXPECT(config_.queue_capacity > 0, "serve: zero queue capacity");
-  DLSCHED_EXPECT(config_.batch_max > 0, "serve: zero batch size");
-  if (!config_.cache_dir.empty()) {
-    cache_ = experiments::ResultCache(config_.cache_dir);
-  }
+/// Checks the admission knobs, then binds the daemon's socket.
+int bind_daemon_socket(const ServerConfig& config) {
+  DLSCHED_EXPECT(config.queue_capacity > 0, "serve: zero queue capacity");
+  DLSCHED_EXPECT(config.batch_max > 0, "serve: zero batch size");
+  return net::listen_unix(config.socket_path);
+}
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  DLSCHED_EXPECT(config_.socket_path.size() < sizeof(addr.sun_path),
-                 "serve: socket path too long for AF_UNIX ('" +
-                     config_.socket_path + "')");
-  std::strncpy(addr.sun_path, config_.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
+}  // namespace
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  DLSCHED_EXPECT(listen_fd_ >= 0, "serve: cannot create socket");
-  // A previous daemon's socket file would make bind fail; a *live*
-  // daemon is beyond this process's knowledge, so last-one-wins.
-  ::unlink(config_.socket_path.c_str());
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    DLSCHED_FAIL("serve: cannot listen on '" + config_.socket_path +
-                 "': " + std::strerror(err));
-  }
-
-  accept_thread_ = std::thread([this] { accept_loop(); });
+Server::Server(ServerConfig config)
+    : config_(std::move(config)),
+      cache_(config_.cache_dir.empty()
+                 ? experiments::ResultCache()
+                 : experiments::ResultCache(config_.cache_dir)),
+      listener_(bind_daemon_socket(config_), stats_,
+                {{FrameType::SolveRequest,
+                  [this](const std::string& payload) {
+                    return handle_solve_payload(payload);
+                  }}}) {
+  listener_.start();
   batcher_thread_ = std::thread([this] { batcher_loop(); });
 }
 
@@ -72,105 +53,16 @@ void Server::stop() {
 
   begin_drain();
 
-  // Stop accepting first so no connection thread is born mid-teardown.
-  accept_stop_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
   // The batcher exits once draining and empty; every queued request has
-  // been answered by then.
+  // been answered by then, and a draining daemon queues nothing new, so
+  // no connection thread is left waiting on it.
   if (batcher_thread_.joinable()) batcher_thread_.join();
 
-  // Unblock connection readers (their clients may keep the socket open)
-  // and collect them.
-  std::vector<std::thread> connections;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    connections.swap(connection_threads_);
-  }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
-  }
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.stop();
   ::unlink(config_.socket_path.c_str());
 }
 
-// ------------------------------------------------------------ accept side --
-
-void Server::accept_loop() {
-  while (!accept_stop_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back(
-        [this, fd] { handle_connection(fd); });
-  }
-}
-
-void Server::handle_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // peer closed or shutdown() during stop
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    // Drain every complete frame in the buffer; a malformed prefix ends
-    // the connection (after a ProtocolError reply) because framing can
-    // no longer be trusted.
-    for (;;) {
-      const FrameDecode decode = try_decode_frame(buffer);
-      if (decode.status == DecodeStatus::NeedMore) break;
-      if (decode.status != DecodeStatus::Ok) {
-        stats_.on_protocol_error();
-        (void)send_all(fd,
-                       encode_frame(FrameType::ProtocolError, decode.error));
-        open = false;
-        break;
-      }
-      buffer.erase(0, decode.consumed);
-      std::string reply;
-      switch (decode.frame.type) {
-        case FrameType::SolveRequest:
-          reply = handle_solve_payload(decode.frame.payload);
-          break;
-        case FrameType::StatsQuery:
-          reply = encode_frame(FrameType::StatsReport,
-                               stats_.render_json());
-          break;
-        default:
-          stats_.on_protocol_error();
-          reply = encode_frame(
-              FrameType::ProtocolError,
-              "unexpected client frame type " +
-                  std::to_string(static_cast<int>(decode.frame.type)));
-          open = false;
-          break;
-      }
-      if (!send_all(fd, reply)) {
-        open = false;
-        break;
-      }
-    }
-  }
-  // Forget the fd before closing it: once closed, its number may be
-  // reused by any socket in the process, and stop() must never
-  // shutdown() that one.
-  {
-    const std::lock_guard<std::mutex> lock(conn_mutex_);
-    std::erase(connection_fds_, fd);
-  }
-  ::close(fd);
-}
+// --------------------------------------------------------- admission side --
 
 std::string Server::handle_solve_payload(const std::string& payload) {
   obs::ObsSpan admit_span("daemon", "admit");

@@ -18,12 +18,12 @@
 //     stored to the cache, so a daemon answer is byte-identical to a
 //     direct `solve_batch` + cache round-trip of the same request.
 //
-// A stats mailbox (service/stats.hpp) is queryable over the same socket.
-// Shutdown is a graceful drain: finish queued and in-flight work, refuse
-// new requests, then close.
+// Connections, framing and the stats mailbox (service/stats.hpp) belong
+// to the shared `FramedListener` (service/listener.hpp); the daemon only
+// supplies the SolveRequest handler.  Shutdown is a graceful drain: finish
+// queued and in-flight work, refuse new requests, then close.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "experiments/cache.hpp"
+#include "service/listener.hpp"
 #include "service/stats.hpp"
 #include "service/wire.hpp"
 
@@ -53,7 +54,7 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Binds, listens and spawns the accept + batcher threads; throws
+  /// Binds, listens and spawns the listener + batcher threads; throws
   /// `dlsched::Error` when the socket cannot be set up.
   explicit Server(ServerConfig config);
   ~Server();
@@ -85,10 +86,8 @@ class Server {
     bool fulfilled = false;
   };
 
-  void accept_loop();
   void batcher_loop();
-  void handle_connection(int fd);
-  /// Decodes and dispatches one frame payload; returns the encoded
+  /// Decodes and admits one SolveRequest payload; returns the encoded
   /// response frame to write back.
   [[nodiscard]] std::string handle_solve_payload(const std::string& payload);
   void run_batch(std::vector<std::unique_ptr<Pending>> batch);
@@ -96,21 +95,16 @@ class Server {
   ServerConfig config_;
   ServiceStats stats_;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::thread batcher_thread_;
-  std::vector<std::thread> connection_threads_;  // guarded by conn_mutex_
-  std::vector<int> connection_fds_;              // guarded by conn_mutex_
-  std::mutex conn_mutex_;
-
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<Pending>> queue_;  // guarded by queue_mutex_
   bool draining_ = false;                       // guarded by queue_mutex_
-  std::atomic<bool> accept_stop_{false};
 
   std::mutex cache_mutex_;
   experiments::ResultCache cache_;  // guarded by cache_mutex_
+
+  std::thread batcher_thread_;
+  FramedListener listener_;  // last: its handler uses everything above
 
   bool stopped_ = false;  // stop() ran (main-thread use only)
 };

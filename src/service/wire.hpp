@@ -157,9 +157,9 @@ struct RejectInfo {
 // --------------------------------------------------- cluster lease bodies --
 //
 // The TCP shard board (service/coordinator.hpp).  A coordinator owns the
-// claim board in memory -- leases with deadlines replace the filesystem
-// board's hard-link claims -- and workers stream serialized `ShardResult`
-// fragments back over the same framed protocol.  The result cache is the
+// claim board in memory -- shard leases with deadlines -- and workers
+// stream serialized `ShardResult` fragments back over the same framed
+// protocol.  The result cache is the
 // synchronization medium: a Work grant ships the shard's cached records
 // so warm workers replay them bit-exactly, and an accepted fragment ships
 // the worker's fresh records back, keeping the coordinator's cache (and
@@ -175,7 +175,7 @@ struct WireCacheEntry {
 };
 
 /// Worker -> coordinator: acquire a new shard lease, or renew a held one
-/// (the TCP analogue of the filesystem board's mtime heartbeat).
+/// (the heartbeat that keeps the lease from expiring).
 struct LeaseRequestBody {
   enum class Kind : std::uint8_t { Acquire, Renew };
   Kind kind = Kind::Acquire;
@@ -215,8 +215,7 @@ struct LeaseGrantBody {
 [[nodiscard]] LeaseGrantBody decode_lease_grant(std::string_view body);
 
 /// Worker -> coordinator: one completed shard.  `fragment` is the
-/// `serialize_shard_result` byte stream (exactly what the filesystem
-/// board writes to a fragment file); `records` carries every cache entry
+/// `serialize_shard_result` byte stream; `records` carries every cache entry
 /// for the shard's jobs so the coordinator's cache ends up as if it had
 /// executed the shard itself.
 struct FragmentPushBody {

@@ -53,8 +53,7 @@ class ScratchDir {
 /// at 50ms) while a shard executes.  Every failure mode -- refused
 /// renewal, drain, closed socket -- just stops the heartbeat: execution
 /// continues and the coordinator's first-accepted-push-wins commit
-/// resolves any race, exactly like a worker whose mtime refresh stalls on
-/// the filesystem board.
+/// resolves any race.
 class LeaseRenewer {
  public:
   LeaseRenewer(net::Endpoint endpoint, std::string worker_id,

@@ -8,8 +8,7 @@
 // through the ordinary per-shard executor, and stream the serialized
 // result back as a FragmentPush together with every cache entry the
 // shard produced.  A renewal thread heartbeats the lease on a second
-// connection while the shard runs, the TCP analogue of the filesystem
-// board's mtime refresh.
+// connection while the shard runs, so a slow shard keeps its lease.
 //
 // The worker is expendable by design: losing a renewal race does not
 // abort execution (the coordinator's first-accepted-push-wins commit

@@ -77,4 +77,12 @@ std::int64_t CliArgs::get_int(const std::string& option,
   }
 }
 
+void CliArgs::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& option : options_) {
+    DLSCHED_EXPECT(
+        std::find(known.begin(), known.end(), option.first) != known.end(),
+        "unknown option --" + option.first);
+  }
+}
+
 }  // namespace dlsched

@@ -31,6 +31,9 @@ class CliArgs {
   [[nodiscard]] std::int64_t get_int(const std::string& option,
                                      std::int64_t fallback) const;
 
+  /// Throws dlsched::Error naming the first option not in `known`.
+  void reject_unknown(const std::vector<std::string>& known) const;
+
  private:
   std::vector<std::string> positional_;
   std::map<std::string, std::string> options_;

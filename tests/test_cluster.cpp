@@ -4,8 +4,8 @@
 // byte-identical to a single-process run over the same cache, a worker
 // that dies mid-FragmentPush loses its lease exactly once (and the torn
 // frame never corrupts the board), StatsQuery exposes the board gauges,
-// draining sends workers away, and the staleness flags validate their
-// accepted ranges.
+// draining sends workers away, the lease TTL flag validates its accepted
+// range, and the driver rejects options it does not know.
 //
 // No forks here: the coordinator runs inside `run_spec` on one thread
 // and the workers are `run_tcp_worker` calls on others, so a failing
@@ -91,11 +91,14 @@ ExperimentSpec small_grid_spec() {
 /// A per-process, per-test port: `run_spec` needs the port up front (the
 /// options carry "HOST:PORT"), so the ephemeral-port trick is not
 /// available here.  Salting with the pid keeps parallel ctest processes
-/// apart; the offset keeps tests within one process apart.
+/// apart; the offset keeps tests within one process apart.  The range
+/// stays below Linux's ephemeral ports (32768 and up): every outgoing
+/// connection, including ones lingering in TIME_WAIT, holds one of those,
+/// and binding to it fails with "address already in use".
 std::uint16_t test_port(int offset) {
   const auto pid = static_cast<unsigned long>(::getpid());
   return static_cast<std::uint16_t>(21000u + (pid * 131u + offset * 1009u) %
-                                                 40000u);
+                                                 11000u);
 }
 
 /// Workers race the coordinator's bind: retry connection-refused setup
@@ -170,6 +173,9 @@ TEST(ClusterRun, MatchesTheSingleProcessArtifactsOverTheSameCache) {
   });
 
   const std::string endpoint = "tcp://127.0.0.1:" + std::to_string(port);
+  // Start both workers only once the board listens, so neither can find
+  // the run already finished by the other.
+  ::close(connect_with_retry(endpoint));
   service::TcpWorkerSummary worker_summaries[2];
   std::ostringstream worker_logs[2];
   std::string worker_errors[2];
@@ -383,6 +389,7 @@ TEST(ClusterStats, StatsQueryExposesTheBoardGauges) {
   ResultCache cache(scratch.dir() + "/cache");
   service::Coordinator coordinator(spec, plan_shards(spec), cache,
                                    service::CoordinatorConfig{});
+  coordinator.start();
   service::ServeClient client(coordinator.endpoint());
   const std::string json = client.stats_json();
   EXPECT_NE(json.find("\"shards_total\": 8"), std::string::npos) << json;
@@ -401,6 +408,7 @@ TEST(ClusterStats, StopLeavesReusedConnectionFdNumbersAlone) {
   ResultCache cache(scratch.dir() + "/cache");
   service::Coordinator coordinator(spec, plan_shards(spec), cache,
                                    service::CoordinatorConfig{});
+  coordinator.start();
   fd_probe::expect_stop_spares_reused_fd_numbers(
       coordinator.endpoint(), [&] { coordinator.stop(); });
 }
@@ -411,6 +419,7 @@ TEST(ClusterDrain, DrainingCoordinatorSendsWorkersAway) {
   ResultCache cache(scratch.dir() + "/cache");
   service::Coordinator coordinator(spec, plan_shards(spec), cache,
                                    service::CoordinatorConfig{});
+  coordinator.start();
   coordinator.begin_drain();
   service::TcpWorkerOptions options;
   options.endpoint = coordinator.endpoint();
@@ -425,22 +434,44 @@ TEST(ClusterDrain, DrainingCoordinatorSendsWorkersAway) {
 }
 
 TEST(ClusterFlags, OutOfRangeStalenessKnobsNameTheAcceptedRange) {
-  for (const char* flag : {"--stale-seconds", "--lease-ttl"}) {
-    for (const char* value : {"0.01", "9000"}) {
-      std::vector<const char*> argv{"dlsched_bench", "--spec",   "smoke",
-                                    "--quick",       "--no-json", "--no-csv",
-                                    "--no-cache",    flag,        value};
+  for (const char* value : {"0.01", "9000"}) {
+    std::vector<const char*> argv{"dlsched_bench", "--spec",    "smoke",
+                                  "--quick",       "--no-json", "--no-csv",
+                                  "--no-cache",    "--lease-ttl", value};
+    const CliArgs args = CliArgs::parse(static_cast<int>(argv.size()),
+                                        argv.data(), bench_flags());
+    try {
+      (void)bench_main(args);
+      FAIL() << "--lease-ttl " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("accepted: 0.05 to 3600 seconds"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ClusterFlags, UnknownOptionsAreRejectedByName) {
+  // The retired filesystem-board options and a typo must not silently
+  // run the whole grid in-process.
+  const std::vector<std::vector<const char*>> cases{
+      {"--shard", "0/2"},
+      {"--join"},
+      {"--stale-seconds", "1"},
+      {"--cache-dirr", "somewhere"}};
+  for (const std::vector<const char*>& extra : cases) {
+    std::vector<const char*> argv{"dlsched_bench", "--spec",    "smoke",
+                                  "--quick",       "--no-json", "--no-csv",
+                                  "--no-cache"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    try {
       const CliArgs args = CliArgs::parse(static_cast<int>(argv.size()),
                                           argv.data(), bench_flags());
-      try {
-        (void)bench_main(args);
-        FAIL() << flag << " " << value << " was accepted";
-      } catch (const Error& e) {
-        EXPECT_NE(
-            std::string(e.what()).find("accepted: 0.05 to 3600 seconds"),
-            std::string::npos)
-            << e.what();
-      }
+      (void)bench_main(args);
+      ADD_FAILURE() << extra.front() << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(extra.front()), std::string::npos)
+          << e.what();
     }
   }
 }

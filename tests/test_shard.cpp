@@ -1,18 +1,22 @@
 // Tests of the sharded, multi-process experiment pipeline: deterministic
 // shard planning (stable ids, union == full grid), fragment round-trips,
-// forked work-stealing workers producing byte-identical joined artifacts,
-// static --shard slices + --join, and stale-claim reclaim after a worker
-// dies mid-run.
+// a forked local TCP worker fleet producing byte-identical joined
+// artifacts, and a dead fleet failing the run instead of hanging it.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "experiments/engine.hpp"
-#include "experiments/scheduler.hpp"
 #include "experiments/shard.hpp"
 #include "experiments/spec_registry.hpp"
 #include "util/error.hpp"
@@ -302,7 +306,7 @@ TEST(ShardScheduler, ForkedWorkersJoinByteIdenticalToSingleProcess) {
   EXPECT_EQ(sp.failures, 0u);
   EXPECT_EQ(sp.shards, 8u);
 
-  // ...then 3 forked work-stealing workers against the same cache: the
+  // ...then a fleet of 3 forked TCP workers against the same cache: the
   // joined artifact replays the cached numbers byte for byte.
   RunOptions multi = single;
   multi.out_json = scratch.file("mp.json");
@@ -333,122 +337,61 @@ TEST(ShardScheduler, ForkedWorkersSolveFromAColdCache) {
   EXPECT_EQ(summary.solved, 16u);  // the workers really solved the grid
   EXPECT_EQ(summary.failures, 0u);
   EXPECT_EQ(summary.rows, 16u);
-  // Every job was checkpointed into the shared cache by some worker.
+  // Every job's record was shipped back into the coordinator's cache.
   const CacheInventory inventory =
       ResultCache::inspect(options.cache_dir);
   EXPECT_EQ(inventory.entries, 16u);
 }
 
-TEST(ShardScheduler, StaticSlicesPlusJoinMatchSingleProcess) {
-  ScratchDir scratch("slices");
-  const ExperimentSpec spec = small_grid_spec();
-  std::ostringstream log;
+TEST(ShardScheduler, DeadLocalFleetFailsTheRunInsteadOfHanging) {
+  ScratchDir scratch("deadfleet");
+  // A TMPDIR that is a regular file: every worker dies creating its
+  // scratch cache, before it finishes a single shard.
+  const std::string not_a_dir = scratch.file("tmpdir");
+  std::ofstream(not_a_dir) << "not a directory\n";
+  const std::string out_json = scratch.file("mp.json");
 
-  RunOptions single;
-  single.out_json = scratch.file("sp.json");
-  single.out_csv = scratch.file("sp.csv");
-  single.cache_dir = scratch.dir() + "/cache";
-  single.threads = 1;
-  single.log = &log;
-  (void)run_spec(spec, single);
-
-  // Two slice "processes" publish fragments (warm cache: bit-exact
-  // replay), then --join assembles without solving anything.
-  for (std::size_t i = 0; i < 2; ++i) {
-    RunOptions slice = single;
-    slice.out_json.clear();
-    slice.out_csv.clear();
-    slice.shard_index = i;
-    slice.shard_count = 2;
-    const RunSummary summary = run_spec(spec, slice);
-    EXPECT_EQ(summary.shards, 4u);  // its half of the 8 shards
-    EXPECT_EQ(summary.cache_hits, 8u);
-  }
-  RunOptions join = single;
-  join.out_json = scratch.file("join.json");
-  join.out_csv = scratch.file("join.csv");
-  join.join_only = true;
-  const RunSummary joined = run_spec(spec, join);
-  EXPECT_EQ(joined.jobs, 16u);
-  EXPECT_EQ(joined.solved, 0u);  // assembled, not re-solved
-  EXPECT_EQ(slurp(single.out_json), slurp(join.out_json));
-  EXPECT_EQ(slurp(single.out_csv), slurp(join.out_csv));
-}
-
-TEST(ShardScheduler, JoinNamesTheMissingFragments) {
-  ScratchDir scratch("missingjoin");
-  const ExperimentSpec spec = small_grid_spec();
-  std::ostringstream log;
-  RunOptions slice;
-  slice.cache_dir = scratch.dir() + "/cache";
-  slice.threads = 1;
-  slice.log = &log;
-  slice.shard_index = 0;
-  slice.shard_count = 2;  // shards 0 and 2 only
-  (void)run_spec(spec, slice);
-
-  RunOptions join = slice;
-  join.shard_count = 0;
-  join.join_only = true;
-  join.out_json = scratch.file("join.json");
-  try {
-    (void)run_spec(spec, join);
-    FAIL() << "expected dlsched::Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("missing shard fragment"), std::string::npos);
-    const std::vector<CompiledShard> shards = plan_shards(spec);
-    EXPECT_NE(what.find(shards[1].id), std::string::npos);
-    EXPECT_NE(what.find(shards[3].id), std::string::npos);
-  }
-}
-
-TEST(ShardScheduler, StaleClaimIsStolenAndTheShardCompletes) {
-  ScratchDir scratch("stale");
-  const ExperimentSpec spec = small_grid_spec();
-  const std::vector<CompiledShard> shards = plan_shards(spec);
-  ShardBoard board(
-      board_directory(scratch.dir() + "/cache", spec, shards));
-
-  // A worker claimed shard 0 and died: the claim file exists, its
-  // heartbeat long stale, and no fragment was ever published.
-  ASSERT_TRUE(board.try_claim(shards[0], "dead-worker"));
-  ASSERT_FALSE(board.try_claim(shards[0], "live-worker"));  // exclusive
-  const fs::path claim =
-      fs::path(board.directory()) / (shards[0].id + ".claim");
-  fs::last_write_time(claim, fs::file_time_type::clock::now() -
-                                 std::chrono::hours(1));
-
-  // A fresh claim is not stealable...
-  ASSERT_TRUE(board.try_claim(shards[1], "dead-worker"));
-  EXPECT_FALSE(board.try_steal_stale(shards[1], 3600.0, "live-worker"));
-  board.release(shards[1]);
-
-  // ...but the stale one is, and the surviving worker then finishes the
-  // whole board, including the reclaimed shard.
-  ResultCache cache(scratch.dir() + "/cache");
-  SchedulerOptions options;
-  options.worker_id = "live-worker";
-  options.stale_seconds = 60.0;  // far under the 1 h manufactured age
-  options.threads = 1;
-  const WorkerSummary summary =
-      run_worker(spec, shards, board, cache, options);
-  EXPECT_GE(summary.stolen, 1u);
-  EXPECT_EQ(summary.executed, shards.size());
-  for (const CompiledShard& shard : shards) {
-    EXPECT_TRUE(board.is_done(shard)) << "shard " << shard.index;
+  // run_spec runs in a forked child, so a hang fails this test at the
+  // deadline below instead of stalling the suite.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int code = 1;
+    try {
+      ::setenv("TMPDIR", not_a_dir.c_str(), 1);
+      std::ostringstream log;
+      RunOptions options;
+      options.out_json = out_json;
+      options.cache_dir = scratch.dir() + "/cache";
+      options.threads = 1;
+      options.workers = 2;
+      options.log = &log;
+      (void)run_spec(small_grid_spec(), options);
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      code = what.find("0/8 shard(s) done") != std::string::npos ? 0 : 2;
+    } catch (...) {
+      code = 3;
+    }
+    ::_exit(code);
   }
 
-  // The reclaim left a joinable board behind.
-  std::ostringstream log;
-  RunOptions join;
-  join.cache_dir = scratch.dir() + "/cache";
-  join.join_only = true;
-  join.out_json = scratch.file("join.json");
-  join.log = &log;
-  const RunSummary joined = run_spec(spec, join);
-  EXPECT_EQ(joined.jobs, 16u);
-  EXPECT_EQ(joined.failures, 0u);
+  int status = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (::waitpid(child, &status, WNOHANG) == 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ::kill(child, SIGKILL);
+      (void)::waitpid(child, &status, 0);
+      FAIL() << "run_spec still waits on a fleet that has exited";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: run_spec returned, 2: error without the done/total count, "
+         "3: not a dlsched::Error";
+  EXPECT_FALSE(fs::exists(out_json));  // no header-only artifact stub
 }
 
 TEST(ShardScheduler, DistributedFlagsRejectNonGridAndCachelessRuns) {
@@ -464,13 +407,6 @@ TEST(ShardScheduler, DistributedFlagsRejectNonGridAndCachelessRuns) {
   ensemble_options.workers = 2;
   EXPECT_THROW((void)run_spec(find_builtin_spec("fig10"), ensemble_options),
                Error);
-
-  RunOptions bad_slice;
-  bad_slice.log = &log;
-  bad_slice.cache_dir = "/tmp/unused-cache-dir";
-  bad_slice.shard_index = 2;
-  bad_slice.shard_count = 2;
-  EXPECT_THROW((void)run_spec(small_grid_spec(), bad_slice), Error);
 }
 
 }  // namespace
