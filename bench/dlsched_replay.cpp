@@ -59,12 +59,9 @@ int cmd_record(const CliArgs& args) {
   const auto out_path = args.get("out");
   DLSCHED_EXPECT(out_path.has_value(), "record: --out FILE is required");
   service::RecordParams params;
-  params.requests = static_cast<std::size_t>(
-      args.get_int("requests", static_cast<std::int64_t>(params.requests)));
-  params.distinct = static_cast<std::size_t>(
-      args.get_int("distinct", static_cast<std::int64_t>(params.distinct)));
-  params.p = static_cast<std::size_t>(
-      args.get_int("p", static_cast<std::int64_t>(params.p)));
+  params.requests = args.get_count("requests", params.requests);
+  params.distinct = args.get_count("distinct", params.distinct);
+  params.p = args.get_count("p", params.p);
   params.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(params.seed)));
   params.solver = args.get_or("solver", params.solver);
@@ -84,8 +81,7 @@ int cmd_run(const CliArgs& args) {
       service::load_stream(slurp(*stream));
   service::ReplayParams params;
   params.socket_path = *socket;
-  params.concurrency =
-      static_cast<std::size_t>(args.get_int("concurrency", 4));
+  params.concurrency = args.get_count("concurrency", params.concurrency);
   const service::ReplayReport report =
       service::run_replay(params, bodies);
   const std::string bench =
@@ -147,8 +143,7 @@ int cmd_stats(const CliArgs& args) {
   const auto socket = args.get("socket");
   DLSCHED_EXPECT(socket.has_value(),
                  "stats: --socket PATH-or-tcp://HOST:PORT is required");
-  const std::int64_t watch = args.get_int("watch", 0);
-  DLSCHED_EXPECT(watch >= 0, "stats: --watch wants a positive period");
+  const std::size_t watch = args.get_count("watch", 0);
   service::ServeClient client(*socket);
   std::string json = client.stats_json();
   print_stats_report(json);

@@ -93,7 +93,9 @@ int usage(std::ostream& out, int code) {
          "                        answer from disk)\n"
          "  --queue-capacity N    bounded admission queue (default 64)\n"
          "  --batch-max N         micro-batch size cap (default 16)\n"
-         "  --batch-wait-ms X     micro-batch gather window (default 2)\n"
+         "  --batch-wait-ms X     micro-batch gather window after the first\n"
+         "                        queued request (default 0: a lone request\n"
+         "                        is solved at once)\n"
          "  --retry-after-ms X    advertised backpressure delay "
          "(default 25)\n"
          "gantt/simulate options:\n"
@@ -237,8 +239,7 @@ int cmd_compare(const StarPlatform& platform, const CliArgs& args) {
     names = SolverRegistry::instance().names();
   }
   const auto outcomes = solve_batch_across_solvers(
-      request, names,
-      static_cast<std::size_t>(args.get_int("threads", 0)));
+      request, names, args.get_count("threads", 0));
 
   if (args.has("json")) {
     // Machine-readable rows (`compare --json --seed N` is reproducible
@@ -289,7 +290,7 @@ int cmd_gantt(const StarPlatform& platform, const CliArgs& args) {
   const Timeline timeline =
       build_timeline(result.schedule_platform, result.schedule);
   GanttOptions options;
-  options.width = static_cast<std::size_t>(args.get_int("width", 100));
+  options.width = args.get_count("width", 100);
   std::cout << render_ascii_gantt(result.schedule_platform, timeline,
                                   options);
   if (const auto svg_path = args.get("svg")) {
@@ -307,7 +308,7 @@ int cmd_gantt(const StarPlatform& platform, const CliArgs& args) {
 }
 
 int cmd_simulate(const StarPlatform& platform, const CliArgs& args) {
-  const auto load = static_cast<std::uint64_t>(args.get_int("load", 1000));
+  const std::uint64_t load = args.get_count("load", 1000);
   const SolveResult result = SolverRegistry::instance().run(
       args.get_or("solver", "fifo_optimal"), request_from(platform, args));
   const double rho = result.throughput();
@@ -356,6 +357,9 @@ std::atomic<int> g_signal{0};
 extern "C" void on_signal(int sig) { g_signal.store(sig); }
 
 int cmd_serve(const CliArgs& args) {
+  // A typo must fail loudly, not start a daemon with a default.
+  args.reject_unknown({"socket", "threads", "queue-capacity", "batch-max",
+                       "batch-wait-ms", "cache-dir", "retry-after-ms"});
   const auto socket = args.get("socket");
   if (!socket) {
     std::cerr << "serve: --socket PATH is required\n";
@@ -363,13 +367,10 @@ int cmd_serve(const CliArgs& args) {
   }
   service::ServerConfig config;
   config.socket_path = *socket;
-  config.solve_threads =
-      static_cast<std::size_t>(args.get_int("threads", 0));
-  config.queue_capacity = static_cast<std::size_t>(
-      args.get_int("queue-capacity", 64));
-  config.batch_max =
-      static_cast<std::size_t>(args.get_int("batch-max", 16));
-  config.batch_wait_ms = args.get_double("batch-wait-ms", 2.0);
+  config.solve_threads = args.get_count("threads", 0);
+  config.queue_capacity = args.get_count("queue-capacity", 64);
+  config.batch_max = args.get_count("batch-max", 16);
+  config.batch_wait_ms = args.get_double("batch-wait-ms", 0.0);
   config.cache_dir = args.get_or("cache-dir", "");
   config.retry_after_ms = args.get_double("retry-after-ms", 25.0);
 

@@ -32,13 +32,9 @@ int run_worker_mode(const CliArgs& args, const std::string& endpoint) {
   options.endpoint = endpoint;
   options.worker_id =
       args.get_or("worker-id", "w" + std::to_string(::getpid()));
-  const std::int64_t threads = args.get_int("threads", 0);
-  DLSCHED_EXPECT(threads >= 0, "--threads wants a non-negative count");
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = args.get_count("threads", 0);
   options.scratch_dir = args.get_or("scratch-dir", "");
-  const std::int64_t abandon = args.get_int("abandon-after", 0);
-  DLSCHED_EXPECT(abandon >= 0, "--abandon-after wants a non-negative count");
-  options.abandon_after = static_cast<std::size_t>(abandon);
+  options.abandon_after = args.get_count("abandon-after", 0);
   const service::TcpWorkerSummary summary =
       service::run_tcp_worker(options, std::cout);
   std::cout << "worker " << options.worker_id << ": " << summary.executed
@@ -140,8 +136,7 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 0));
   }
   if (args.has("repetitions")) {
-    spec.repetitions =
-        static_cast<std::size_t>(args.get_int("repetitions", 1));
+    spec.repetitions = args.get_count("repetitions", 1);
   }
   if (const auto filter = args.get("filter")) {
     // Axis slicing (`--filter p=4,solver=affine_greedy|affine_fifo`):
@@ -158,7 +153,7 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
   options.cache_dir = args.has("no-cache")
                           ? std::string()
                           : args.get_or("cache-dir", ".dlsched_cache");
-  options.threads = static_cast<std::size_t>(args.get_int("threads", 0));
+  options.threads = args.get_count("threads", 0);
   options.quick = args.has("quick");
   // Measured from before the spec was parsed, so the reported wall time
   // matches /usr/bin/time within noise.
@@ -171,8 +166,7 @@ int run_one(ExperimentSpec spec, const CliArgs& args,
     options.coordinator = *coordinator;
   }
   parse_workers(args, options);
-  options.cache_max_bytes =
-      static_cast<std::uint64_t>(args.get_int("cache-max-bytes", 0));
+  options.cache_max_bytes = args.get_count("cache-max-bytes", 0);
   // Long enough to be a real heartbeat period, short enough that a dead
   // worker's shard is reassigned within the hour.
   options.lease_ttl_seconds =

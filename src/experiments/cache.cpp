@@ -119,6 +119,7 @@ void ResultCache::store(const std::string& hash_hex,
                         const std::string& canonical_key,
                         const CachedSolve& value) {
   if (!enabled()) return;
+  obs::ObsSpan span("cache", "store");
   const fs::path path = fs::path(directory_) / (hash_hex + ".entry");
   // Write-then-rename so a crashed run never leaves a torn entry.  The
   // temp name embeds the pid plus a counter: workers in different

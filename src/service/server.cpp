@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -13,10 +15,26 @@ namespace dlsched::service {
 
 namespace {
 
-/// Checks the admission knobs, then binds the daemon's socket.
+/// The longest delay either time field may name: an hour.  It keeps the
+/// gather window's conversion to clock ticks in range.
+constexpr double kMaxDelayMs = 3'600'000.0;
+
+void expect_delay_ms(double value, const char* field) {
+  if (std::isfinite(value) && value >= 0.0 && value <= kMaxDelayMs) return;
+  std::ostringstream message;
+  message << "serve: " << field
+          << " must be a number of milliseconds in [0, 3600000], got "
+          << value;
+  DLSCHED_FAIL(message.str());
+}
+
+/// Checks the admission knobs, then binds the daemon's socket.  A negative
+/// `retry_after_ms` would read as the drain's do-not-retry marker.
 int bind_daemon_socket(const ServerConfig& config) {
   DLSCHED_EXPECT(config.queue_capacity > 0, "serve: zero queue capacity");
   DLSCHED_EXPECT(config.batch_max > 0, "serve: zero batch size");
+  expect_delay_ms(config.batch_wait_ms, "batch_wait_ms");
+  expect_delay_ms(config.retry_after_ms, "retry_after_ms");
   return net::listen_unix(config.socket_path);
 }
 
@@ -150,8 +168,10 @@ void Server::batcher_loop() {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
       if (queue_.empty()) return;  // draining and drained
-      // Gather window: give concurrent clients a moment to land in the
-      // same micro-batch (that is where dedupe and pool sharing pay).
+      // Optional gather window (off by default): give concurrent clients
+      // a moment to land in the same micro-batch.  Without it a lone
+      // request is solved at once, and requests that queue while a batch
+      // runs still share the next one.
       if (queue_.size() < config_.batch_max && config_.batch_wait_ms > 0) {
         queue_cv_.wait_for(lock, wait, [this] {
           return queue_.size() >= config_.batch_max;
@@ -187,10 +207,11 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
     pending.response.set_value(frame);
   };
 
-  // Batch-time cache re-check.  The admission-time lookup runs before an
-  // identical in-flight request finishes, so a duplicate can slip into a
-  // *later* batch than its twin; because batches run serially, that twin
-  // has stored its record by the time this batch starts, and the re-check
+  // Batch-time cache re-check.  The admission-time lookup can run before
+  // an identical in-flight request's record is stored -- even after its
+  // reply went out -- so a duplicate can slip into a *later* batch than
+  // its twin; because batches run serially and each stores its records
+  // before it ends, that twin's record is stored by now, and the re-check
   // answers the duplicate with the twin's exact bytes instead of solving
   // it again.  After this pass, identical requests are byte-identical
   // answers in every interleaving: same batch via dedupe, earlier batch
@@ -221,26 +242,22 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
 
   // The hook answers a primary AND its deduped followers the moment the
   // primary's outcome is final -- all with the primary's bytes, so
-  // concurrent identical requests are answered identically.
+  // concurrent identical requests are answered identically.  It keeps the
+  // record for the store below: the hook runs under solve_batch's progress
+  // mutex, where a disk write would hold back the other lanes' replies.
+  std::vector<std::optional<SolveRecord>> answered(live.size());
   const BatchProgressHook hook = [&](const BatchProgress& progress,
                                      const BatchOutcome& outcome) {
-    Pending& primary = *batch[live[progress.job_index]];
-    const SolveRecord record = record_from_outcome(outcome);
-    // The record round-trips bit-exactly, so a later cache hit re-encodes
-    // to these same bytes: cold and warm answers are byte-identical.
-    const std::string body = encode_result_body(record);
-    try {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      cache_.store(primary.hash, primary.key, record);
-    } catch (const std::exception&) {
-      // The cache is an accelerator; a full disk must not fail the solve.
-    }
-    const std::string frame = encode_frame(FrameType::SolveResult, body);
-    settle(primary, frame, ServiceStats::Completion::Solved);
+    SolveRecord record = record_from_outcome(outcome);
+    const std::string frame =
+        encode_frame(FrameType::SolveResult, encode_result_body(record));
+    settle(*batch[live[progress.job_index]], frame,
+           ServiceStats::Completion::Solved);
     for (const std::size_t follower : progress.duplicates) {
       settle(*batch[live[follower]], frame,
              ServiceStats::Completion::Deduped);
     }
+    answered[progress.job_index] = std::move(record);
     return true;
   };
 
@@ -258,6 +275,21 @@ void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
     settle(pending, encode_frame(FrameType::SolveResult, body),
            outcomes[v].deduped ? ServiceStats::Completion::Deduped
                                : ServiceStats::Completion::Solved);
+  }
+
+  // Store every answered record after its reply, but before this batch
+  // ends: the next batch's re-check then finds it, so a repeat admitted
+  // between the reply and the store still gets these bytes.  The record
+  // round-trips bit-exactly, so a later cache hit re-encodes to the bytes
+  // sent: cold and warm answers are byte-identical.
+  for (std::size_t v = 0; v < live.size(); ++v) {
+    if (!answered[v]) continue;
+    try {
+      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      cache_.store(batch[live[v]]->hash, batch[live[v]]->key, *answered[v]);
+    } catch (const std::exception&) {
+      // The cache is an accelerator; a full disk must not fail the solve.
+    }
   }
   stats_.on_batch_finished(batch.size());
 }

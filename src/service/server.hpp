@@ -9,14 +9,18 @@
 //     without queueing; fresh work enters a *bounded* queue.  A full
 //     queue (or a draining daemon) answers Reject-with-retry-after
 //     immediately -- backpressure is explicit, clients never hang.
-//   * micro-batching: one batcher thread gathers admitted requests (up
-//     to `batch_max`, waiting `batch_wait_ms` after the first) and runs
-//     them through `solve_batch`, so concurrent identical requests
-//     collapse via within-batch dedupe and the solver pool is shared.
+//   * micro-batching: one batcher thread takes the queued requests (up
+//     to `batch_max`) and runs them through `solve_batch`, so concurrent
+//     identical requests collapse via within-batch dedupe and the solver
+//     pool is shared.  By default it waits for nothing more: a lone
+//     request is solved at once, and requests that queue while a batch
+//     runs share the next one.  `batch_wait_ms` > 0 adds a gather window
+//     after the first queued request.
 //   * responses are the encoded wire result body -- deduped followers
-//     receive the *same bytes* as their primary, and every solve is
-//     stored to the cache, so a daemon answer is byte-identical to a
-//     direct `solve_batch` + cache round-trip of the same request.
+//     receive the *same bytes* as their primary.  Each reply is settled
+//     first and its record stored to the cache afterwards, before the
+//     batch returns, so a daemon answer is byte-identical to a direct
+//     `solve_batch` + cache round-trip of the same request.
 //
 // Connections, framing and the stats mailbox (service/stats.hpp) belong
 // to the shared `FramedListener` (service/listener.hpp); the daemon only
@@ -47,7 +51,7 @@ struct ServerConfig {
   std::size_t solve_threads = 0; ///< solve_batch pool (0 = hardware)
   std::size_t queue_capacity = 64;  ///< bounded admission queue
   std::size_t batch_max = 16;       ///< micro-batch size cap
-  double batch_wait_ms = 2.0;       ///< gather window after the first job
+  double batch_wait_ms = 0.0;       ///< gather window (0 = none)
   std::string cache_dir;            ///< ResultCache dir; empty = disabled
   double retry_after_ms = 25.0;     ///< advertised backpressure delay
 };
@@ -55,7 +59,9 @@ struct ServerConfig {
 class Server {
  public:
   /// Binds, listens and spawns the listener + batcher threads; throws
-  /// `dlsched::Error` when the socket cannot be set up.
+  /// `dlsched::Error` naming the field when a size is zero or a time is
+  /// negative, not finite or over an hour, and when the socket cannot be
+  /// set up.
   explicit Server(ServerConfig config);
   ~Server();
 

@@ -77,6 +77,16 @@ std::int64_t CliArgs::get_int(const std::string& option,
   }
 }
 
+std::size_t CliArgs::get_count(const std::string& option,
+                               std::size_t fallback) const {
+  if (!has(option)) return fallback;
+  const std::int64_t value = get_int(option, 0);
+  DLSCHED_EXPECT(value >= 0, "option --" + option +
+                                 " wants a non-negative count, got " +
+                                 std::to_string(value));
+  return static_cast<std::size_t>(value);
+}
+
 void CliArgs::reject_unknown(const std::vector<std::string>& known) const {
   for (const auto& option : options_) {
     DLSCHED_EXPECT(

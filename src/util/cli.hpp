@@ -2,6 +2,7 @@
 // positional arguments plus --key value / --flag options.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -30,6 +31,10 @@ class CliArgs {
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& option,
                                      std::int64_t fallback) const;
+  /// A count or size: a non-negative integer.  Throws dlsched::Error
+  /// naming the option when the value is negative or malformed.
+  [[nodiscard]] std::size_t get_count(const std::string& option,
+                                      std::size_t fallback) const;
 
   /// Throws dlsched::Error naming the first option not in `known`.
   void reject_unknown(const std::vector<std::string>& known) const;

@@ -64,6 +64,26 @@ TEST(Cli, DoubleValues) {
   EXPECT_DOUBLE_EQ(args.get_double("scale", 0.0), 0.125);
 }
 
+TEST(Cli, CountValues) {
+  const CliArgs args =
+      parse({"--zero", "0", "--four", "4", "--minus", "-1", "--word", "x"});
+  EXPECT_EQ(args.get_count("zero", 7), 0u);
+  EXPECT_EQ(args.get_count("four", 7), 4u);
+  EXPECT_EQ(args.get_count("absent", 7), 7u);
+  // A negative count must not wrap to a huge size_t; the error names the
+  // option.
+  for (const char* option : {"minus", "word"}) {
+    try {
+      (void)args.get_count(option, 7);
+      ADD_FAILURE() << "--" << option << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + option),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Cli, EmptyOptionNameRejected) {
   EXPECT_THROW(parse({"--", "x"}), Error);
 }

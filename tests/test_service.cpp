@@ -7,10 +7,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -19,6 +20,7 @@
 #include "experiments/cache.hpp"
 #include "fd_reuse.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "platform/generators.hpp"
 #include "service/client.hpp"
 #include "service/replay.hpp"
@@ -68,6 +70,57 @@ std::vector<SolveRequest> distinct_requests(std::size_t count,
   }
   return requests;
 }
+
+/// An exhaustive search that holds the batcher for about `seconds`: the
+/// wall-clock budget ends it.
+SolveRequest budgeted_brute_force(double seconds) {
+  SolveRequest slow = distinct_requests(1, 9).front();
+  slow.max_workers_brute = 9;
+  slow.time_budget_seconds = seconds;
+  return slow;
+}
+
+/// Polls `ready()` for up to 10 s; false when it never held.
+template <typename Predicate>
+bool wait_until(Predicate ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// Starts a budgeted brute-force search on its own connection and returns
+/// once it runs, so requests sent next queue behind it and are taken as
+/// one batch when it ends.  Join the thread for its reply.
+std::thread hold_batcher(const Server& server, const std::string& socket) {
+  std::thread holder([socket] {
+    ServeClient client(socket);
+    EXPECT_EQ(client.solve("brute_force", budgeted_brute_force(1.5)).kind,
+              SolveReply::Kind::Result);
+  });
+  EXPECT_TRUE(wait_until([&] { return server.stats().in_flight >= 1; }))
+      << "the budgeted search never ran";
+  return holder;
+}
+
+/// Records spans for one test; leaves the process tracer off and empty.
+class ScopedTrace {
+ public:
+  ScopedTrace() { obs::Tracer::instance().enable("serve-test"); }
+  ~ScopedTrace() {
+    obs::Tracer::instance().disable();
+    (void)obs::Tracer::instance().drain();
+  }
+  ScopedTrace(const ScopedTrace&) = delete;
+  ScopedTrace& operator=(const ScopedTrace&) = delete;
+
+  [[nodiscard]] std::vector<obs::SpanRecord> spans() {
+    return obs::Tracer::instance().drain().spans;
+  }
+};
 
 // The daemon's latency histogram IS the obs layer's log2 histogram: one
 // bucketing, one JSON rendering, shared by the stats report and the
@@ -227,45 +280,43 @@ TEST(ServeDaemon, WarmAnswersAreByteIdenticalToDirectSolveBatch) {
 }
 
 TEST(ServeDaemon, ConcurrentIdenticalRequestsDedupeToIdenticalBytes) {
+  // Identical requests queued behind a running batch are taken together:
+  // one solve, and deduped followers answered with the primary's bytes.
+  // The cache is on and misses them all, because the batch that solves
+  // them stores its record only after answering them.
   const TestPaths paths = test_paths("dedupe");
   ServerConfig config;
   config.socket_path = paths.socket;
-  // A generous gather window so the concurrent clients land in one
-  // micro-batch and hit the within-batch dedupe path; the cache is on as
-  // a backstop (a straggler that misses the batch still gets the
-  // primary's bytes, because the stored record round-trips bit-exactly).
-  config.batch_wait_ms = 250.0;
   config.cache_dir = paths.cache_dir;
   Server server(config);
+  std::thread holder = hold_batcher(server, paths.socket);
 
   const SolveRequest request = distinct_requests(1, 5).front();
   constexpr std::size_t kClients = 4;
-  // Connect everyone up front so the solve frames land within the same
-  // gather window.
-  std::vector<std::unique_ptr<ServeClient>> conns;
-  for (std::size_t c = 0; c < kClients; ++c) {
-    conns.push_back(std::make_unique<ServeClient>(paths.socket));
-  }
   std::vector<std::string> bodies(kClients);
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      const SolveReply reply = conns[c]->solve("fifo_optimal", request);
+      ServeClient client(paths.socket);
+      const SolveReply reply = client.solve("fifo_optimal", request);
       if (reply.kind == SolveReply::Kind::Result) {
         bodies[c] = reply.raw_body;
       }
     });
   }
+  EXPECT_TRUE(wait_until([&] { return server.stats().queued >= kClients; }))
+      << "the requests never queued behind the search";
+  holder.join();
   for (std::thread& t : clients) t.join();
-  for (std::size_t c = 1; c < kClients; ++c) {
+  for (std::size_t c = 0; c < kClients; ++c) {
     EXPECT_FALSE(bodies[c].empty());
     EXPECT_EQ(bodies[c], bodies[0]);
   }
   const StatsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.admitted, kClients);
-  // However the batches landed, every request completed by exactly one of
-  // the three answer paths.
-  EXPECT_EQ(stats.solved + stats.deduped + stats.cache_hits, kClients);
+  EXPECT_EQ(stats.admitted, kClients + 1);
+  EXPECT_EQ(stats.solved, 2u);  // the search and the primary
+  EXPECT_EQ(stats.deduped, kClients - 1);
+  EXPECT_EQ(stats.cache_hits, 0u);
   server.stop();
   fs::remove_all(paths.cache_dir);
 }
@@ -283,9 +334,7 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
 
   // Job A occupies the batcher for a deterministic-enough window: an
   // exhaustive search under a wall-clock budget.
-  SolveRequest slow = distinct_requests(1, 9).front();
-  slow.max_workers_brute = 9;
-  slow.time_budget_seconds = 2.0;
+  const SolveRequest slow = budgeted_brute_force(2.0);
 
   std::thread a([&] {
     ServeClient client(paths.socket);
@@ -293,12 +342,8 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
     EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
   });
   // Wait until A is inside solve_batch.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.stats().in_flight < 1) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "A never ran";
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  ASSERT_TRUE(wait_until([&] { return server.stats().in_flight >= 1; }))
+      << "A never ran";
 
   // Job B fills the (capacity-1) queue while A is in flight.
   SolveRequest queued = distinct_requests(2, 5).back();
@@ -307,10 +352,8 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
     const SolveReply reply = client.solve("fifo_optimal", queued);
     EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
   });
-  while (server.stats().queued < 1) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "B never queued";
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  ASSERT_TRUE(wait_until([&] { return server.stats().queued >= 1; }))
+      << "B never queued";
 
   // Job C must be rejected immediately -- with the advertised retry-after
   // -- because the queue is full.  No hang, no block.
@@ -325,6 +368,173 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
   a.join();
   b.join();
   EXPECT_EQ(server.stats().rejected, 1u);
+  server.stop();
+}
+
+TEST(ServeDaemon, LoneRequestIsNotHeldForTheGatherWindow) {
+  // By default the batcher opens no gather window: a request alone in the
+  // daemon starts its batch as soon as the batcher wakes, instead of
+  // waiting for company that never comes.
+  const TestPaths paths = test_paths("lone");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  ScopedTrace trace;
+  Server server(config);
+  {
+    ServeClient client(paths.socket);
+    for (const SolveRequest& request : distinct_requests(3, 5)) {
+      ASSERT_EQ(client.solve("fifo_optimal", request).kind,
+                SolveReply::Kind::Result);
+    }
+  }
+  server.stop();
+
+  // One request at a time: the i-th admission is the i-th batch.
+  std::vector<obs::SpanRecord> admits;
+  std::vector<obs::SpanRecord> batches;
+  for (const obs::SpanRecord& span : trace.spans()) {
+    if (span.category != "daemon") continue;
+    if (span.name == "admit") admits.push_back(span);
+    if (span.name == "batch:1") batches.push_back(span);
+  }
+  ASSERT_EQ(admits.size(), 3u);
+  ASSERT_EQ(batches.size(), 3u);
+  // The least gap of the three: a slow wake-up can stretch one, a window
+  // stretches them all.
+  double least_gap_us = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < admits.size(); ++i) {
+    least_gap_us = std::min(least_gap_us,
+                            static_cast<double>(batches[i].start_us) -
+                                static_cast<double>(admits[i].end_us));
+  }
+  EXPECT_LT(least_gap_us, 1000.0)
+      << "every lone request waited between its admission and its batch";
+}
+
+TEST(ServeDaemon, RepeatRightAfterTheAnswerIsByteIdentical) {
+  // The reply is settled before its record is stored, so a repeat sent
+  // the moment the answer lands can miss the admission lookup.  The batch
+  // stores before it returns, so the next batch's re-check answers the
+  // repeat from the cache: same bytes, never a second solve.
+  const TestPaths paths = test_paths("repeat");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  config.cache_dir = paths.cache_dir;
+  Server server(config);
+
+  const std::vector<SolveRequest> requests = distinct_requests(20, 5);
+  ServeClient a(paths.socket);
+  ServeClient b(paths.socket);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SolveReply first = a.solve("fifo_optimal", requests[i]);
+    const SolveReply repeat = b.solve("fifo_optimal", requests[i]);
+    ASSERT_EQ(first.kind, SolveReply::Kind::Result);
+    ASSERT_EQ(repeat.kind, SolveReply::Kind::Result);
+    EXPECT_EQ(repeat.raw_body, first.raw_body) << "request " << i;
+  }
+  const StatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.solved, requests.size());
+  EXPECT_EQ(stats.cache_hits, requests.size());
+  EXPECT_EQ(stats.deduped, 0u);
+  server.stop();
+  fs::remove_all(paths.cache_dir);
+}
+
+TEST(ServeDaemon, RequestsQueuedBehindABusyBatcherShareOneBatch) {
+  // Without a gather window, batching under load survives: requests that
+  // queue while a batch runs are taken together next.
+  const TestPaths paths = test_paths("share");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  ScopedTrace trace;
+  Server server(config);
+  std::thread holder = hold_batcher(server, paths.socket);
+
+  const std::vector<SolveRequest> queued = distinct_requests(4, 5);
+  std::vector<std::thread> clients;
+  for (const SolveRequest& request : queued) {
+    clients.emplace_back([&paths, &request] {
+      ServeClient client(paths.socket);
+      EXPECT_EQ(client.solve("fifo_optimal", request).kind,
+                SolveReply::Kind::Result);
+    });
+  }
+  EXPECT_TRUE(
+      wait_until([&] { return server.stats().queued >= queued.size(); }))
+      << "the requests never queued behind the search";
+  holder.join();
+  for (std::thread& client : clients) client.join();
+  server.stop();
+
+  const std::vector<obs::SpanRecord> spans = trace.spans();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                          [](const obs::SpanRecord& span) {
+                            return span.category == "daemon" &&
+                                   span.name == "batch:4";
+                          }))
+      << "no daemon batch took the 4 queued requests together";
+}
+
+TEST(ServeDaemon, ReplyIsSettledBeforeItsCacheStore) {
+  const TestPaths paths = test_paths("order");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  config.cache_dir = paths.cache_dir;
+  ScopedTrace trace;
+  Server server(config);
+  {
+    ServeClient client(paths.socket);
+    ASSERT_EQ(
+        client.solve("fifo_optimal", distinct_requests(1, 5).front()).kind,
+        SolveReply::Kind::Result);
+  }
+  server.stop();
+
+  const std::vector<obs::SpanRecord> spans = trace.spans();
+  const auto find = [&](const char* category, const char* name) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const obs::SpanRecord& span) {
+                          return span.category == category &&
+                                 span.name == name;
+                        });
+  };
+  const auto settle = find("daemon", "settle");
+  const auto store = find("cache", "store");
+  ASSERT_NE(settle, spans.end());
+  ASSERT_NE(store, spans.end());
+  EXPECT_LE(settle->end_us, store->start_us);
+  fs::remove_all(paths.cache_dir);
+}
+
+TEST(ServeDaemon, OutOfRangeTimesAreRejectedBeforeTheSocketIsBound) {
+  const double bad[] = {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN(), -1.0,
+                        1e300, 3'600'001.0};
+  for (const std::string field : {"batch_wait_ms", "retry_after_ms"}) {
+    for (const double value : bad) {
+      const TestPaths paths = test_paths("conf");
+      ServerConfig config;
+      config.socket_path = paths.socket;
+      (field == "batch_wait_ms" ? config.batch_wait_ms
+                                : config.retry_after_ms) = value;
+      try {
+        const Server server(config);
+        ADD_FAILURE() << field << " = " << value << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+      EXPECT_FALSE(fs::exists(paths.socket)) << field << " = " << value;
+    }
+  }
+
+  // Zero and the one-hour cap are in range.
+  const TestPaths paths = test_paths("conf");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  config.batch_wait_ms = 3'600'000.0;
+  config.retry_after_ms = 0.0;
+  Server server(config);
   server.stop();
 }
 
