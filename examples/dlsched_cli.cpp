@@ -93,9 +93,6 @@ int usage(std::ostream& out, int code) {
          "                        answer from disk)\n"
          "  --queue-capacity N    bounded admission queue (default 64)\n"
          "  --batch-max N         micro-batch size cap (default 16)\n"
-         "  --batch-wait-ms X     micro-batch gather window after the first\n"
-         "                        queued request (default 0: a lone request\n"
-         "                        is solved at once)\n"
          "  --retry-after-ms X    advertised backpressure delay "
          "(default 25)\n"
          "gantt/simulate options:\n"
@@ -359,7 +356,7 @@ extern "C" void on_signal(int sig) { g_signal.store(sig); }
 int cmd_serve(const CliArgs& args) {
   // A typo must fail loudly, not start a daemon with a default.
   args.reject_unknown({"socket", "threads", "queue-capacity", "batch-max",
-                       "batch-wait-ms", "cache-dir", "retry-after-ms"});
+                       "cache-dir", "retry-after-ms"});
   const auto socket = args.get("socket");
   if (!socket) {
     std::cerr << "serve: --socket PATH is required\n";
@@ -370,7 +367,6 @@ int cmd_serve(const CliArgs& args) {
   config.solve_threads = args.get_count("threads", 0);
   config.queue_capacity = args.get_count("queue-capacity", 64);
   config.batch_max = args.get_count("batch-max", 16);
-  config.batch_wait_ms = args.get_double("batch-wait-ms", 0.0);
   config.cache_dir = args.get_or("cache-dir", "");
   config.retry_after_ms = args.get_double("retry-after-ms", 25.0);
 

@@ -895,13 +895,6 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
   obs::MetricsRegistry::process().add("batch.jobs", jobs.size());
   obs::MetricsRegistry::process().add("batch.deduped",
                                       jobs.size() - primary_count);
-  // Follower lists, reported to the progress hook as the per-primary
-  // attribution view (`BatchProgress::duplicates`).  Built once up front;
-  // read-only while the lanes run.
-  std::vector<std::vector<std::size_t>> followers_of(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (primary_of[i] != i) followers_of[primary_of[i]].push_back(i);
-  }
 
   std::atomic<bool> stop{false};
   std::mutex progress_mutex;
@@ -933,8 +926,7 @@ std::vector<BatchOutcome> solve_batch(std::span<const BatchJobView> jobs,
     }
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
-      const BatchProgress report{index, ++completed, primary_count,
-                                 followers_of[index]};
+      const BatchProgress report{index, ++completed, primary_count};
       if (!progress(report, outcome)) {
         stop.store(true, std::memory_order_relaxed);
       }

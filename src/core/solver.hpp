@@ -291,26 +291,21 @@ struct BatchOutcome {
 
 /// Progress report delivered after each *primary* (non-deduped) batch job
 /// finishes.  `completed`/`total` count primary jobs only, so `completed ==
-/// total` on the last invocation.
+/// total` on the last invocation.  A deduped job gets no report of its
+/// own: its outcome is the primary's, copied when the batch returns.
 struct BatchProgress {
   std::size_t job_index = 0;   ///< index of the just-finished job
   std::size_t completed = 0;   ///< primary jobs finished so far
   std::size_t total = 0;       ///< primary jobs in the batch
-  /// Batch indices of the jobs deduped onto this primary (byte-identical
-  /// solver + request), in job order.  This is the per-job attribution
-  /// view: the outcome passed alongside answers `job_index` AND every
-  /// index listed here, so a consumer tracking individual requests (the
-  /// service daemon) can settle all of them the moment the primary
-  /// finishes instead of waiting for the pool to join.  The span points
-  /// into batch-call-lifetime storage; copy it to keep it past the hook.
-  std::span<const std::size_t> duplicates;
 };
 
 /// Optional per-job completion hook for `solve_batch`: invoked serially
 /// (never concurrently, under an internal mutex) from the batch lanes after
 /// each primary job's outcome -- including validation -- is final.  The
 /// experiment layer uses it to checkpoint finished results into the shared
-/// result cache and refresh work-stealing claim heartbeats mid-shard.
+/// result cache and refresh work-stealing claim heartbeats mid-shard; the
+/// service daemon, whose batches hold distinct jobs, answers each job's
+/// requests from it the moment the job is done.
 /// Returning false cancels the batch: jobs not yet started are marked
 /// `cancelled` instead of being run (in-flight jobs still finish).
 using BatchProgressHook =

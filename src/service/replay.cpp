@@ -66,7 +66,6 @@ ReplayReport run_replay(const ReplayParams& params,
   std::vector<double> latency(bodies.size(), -1.0);
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> rejects{0};
-  std::atomic<std::size_t> failed{0};
 
   {
     ServeClient stats_client(params.socket_path);
@@ -79,34 +78,37 @@ ReplayReport run_replay(const ReplayParams& params,
   pool.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) {
     pool.emplace_back([&] {
-      ServeClient client(params.socket_path);
-      for (std::size_t i = next.fetch_add(1); i < bodies.size();
-           i = next.fetch_add(1)) {
-        const std::string frame =
-            encode_frame(FrameType::SolveRequest, bodies[i]);
-        const auto started = std::chrono::steady_clock::now();
-        bool done = false;
-        for (std::size_t attempt = 0; attempt <= params.max_retries;
-             ++attempt) {
-          Frame reply = client.raw_roundtrip(frame);
-          if (reply.type == FrameType::SolveResult) {
-            latency[i] = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-            report.responses[i] = std::move(reply.payload);
-            done = true;
-            break;
+      try {
+        ServeClient client(params.socket_path);
+        for (std::size_t i = next.fetch_add(1); i < bodies.size();
+             i = next.fetch_add(1)) {
+          const std::string frame =
+              encode_frame(FrameType::SolveRequest, bodies[i]);
+          const auto started = std::chrono::steady_clock::now();
+          for (std::size_t attempt = 0; attempt <= params.max_retries;
+               ++attempt) {
+            Frame reply = client.raw_roundtrip(frame);
+            if (reply.type == FrameType::SolveResult) {
+              latency[i] = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - started)
+                               .count();
+              report.responses[i] = std::move(reply.payload);
+              break;
+            }
+            // Any other reply (a body the daemon could not decode) fails
+            // the request; the daemon keeps the connection open after it.
+            if (reply.type != FrameType::Reject) break;
+            rejects.fetch_add(1);
+            const RejectInfo info = decode_reject_body(reply.payload);
+            if (info.retry_after_ms < 0.0) break;  // draining: do not retry
+            std::this_thread::sleep_for(std::chrono::duration<double,
+                                                              std::milli>(
+                info.retry_after_ms));
           }
-          DLSCHED_EXPECT(reply.type == FrameType::Reject,
-                         "replay: unexpected reply frame");
-          rejects.fetch_add(1);
-          const RejectInfo info = decode_reject_body(reply.payload);
-          if (info.retry_after_ms < 0.0) break;  // draining: do not retry
-          std::this_thread::sleep_for(std::chrono::duration<double,
-                                                            std::milli>(
-              info.retry_after_ms));
         }
-        if (!done) failed.fetch_add(1);
+      } catch (const std::exception&) {
+        // The connection failed: this worker ends, and every request it
+        // did not complete counts as failed.
       }
     });
   }
@@ -121,11 +123,11 @@ ReplayReport run_replay(const ReplayParams& params,
   }
 
   report.rejects = rejects.load();
-  report.failed = failed.load();
   for (const double l : latency) {
     if (l >= 0.0) report.latency_seconds.push_back(l);
   }
   report.completed = report.latency_seconds.size();
+  report.failed = report.requests - report.completed;
   return report;
 }
 

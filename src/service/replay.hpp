@@ -46,7 +46,7 @@ struct ReplayParams {
 struct ReplayReport {
   std::size_t requests = 0;
   std::size_t completed = 0;     ///< answered with a result
-  std::size_t failed = 0;        ///< gave up (drain / retries exhausted)
+  std::size_t failed = 0;        ///< requests - completed
   std::size_t rejects = 0;       ///< backpressure rejects observed
   double wall_seconds = 0.0;
   std::vector<double> latency_seconds;  ///< per completed request
@@ -58,7 +58,9 @@ struct ReplayReport {
 
 /// Fires the stream at the daemon.  Rejected requests honor the advertised
 /// retry-after and retry up to `max_retries`; a reject with a negative
-/// retry-after (drain) fails the request immediately.
+/// retry-after (drain) or any other reply but a result (a body the daemon
+/// could not decode) fails the request, and the worker carries on.  A
+/// worker whose connection fails ends; its unanswered requests fail too.
 [[nodiscard]] ReplayReport run_replay(const ReplayParams& params,
                                       const std::vector<std::string>& bodies);
 

@@ -15,27 +15,30 @@ namespace dlsched::service {
 
 namespace {
 
-/// The longest delay either time field may name: an hour.  It keeps the
-/// gather window's conversion to clock ticks in range.
+/// The longest backoff the daemon may advertise: an hour.  Clients sleep
+/// for it, so it must stay in range of a clock-tick conversion.
 constexpr double kMaxDelayMs = 3'600'000.0;
-
-void expect_delay_ms(double value, const char* field) {
-  if (std::isfinite(value) && value >= 0.0 && value <= kMaxDelayMs) return;
-  std::ostringstream message;
-  message << "serve: " << field
-          << " must be a number of milliseconds in [0, 3600000], got "
-          << value;
-  DLSCHED_FAIL(message.str());
-}
 
 /// Checks the admission knobs, then binds the daemon's socket.  A negative
 /// `retry_after_ms` would read as the drain's do-not-retry marker.
 int bind_daemon_socket(const ServerConfig& config) {
   DLSCHED_EXPECT(config.queue_capacity > 0, "serve: zero queue capacity");
   DLSCHED_EXPECT(config.batch_max > 0, "serve: zero batch size");
-  expect_delay_ms(config.batch_wait_ms, "batch_wait_ms");
-  expect_delay_ms(config.retry_after_ms, "retry_after_ms");
+  const double retry = config.retry_after_ms;
+  if (!std::isfinite(retry) || retry < 0.0 || retry > kMaxDelayMs) {
+    std::ostringstream message;
+    message << "serve: retry_after_ms must be a number of milliseconds in "
+               "[0, 3600000], got "
+            << retry;
+    DLSCHED_FAIL(message.str());
+  }
   return net::listen_unix(config.socket_path);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 }  // namespace
@@ -58,7 +61,7 @@ Server::~Server() { stop(); }
 
 void Server::begin_drain() {
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
   }
   stats_.set_draining(true);
@@ -71,9 +74,9 @@ void Server::stop() {
 
   begin_drain();
 
-  // The batcher exits once draining and empty; every queued request has
-  // been answered by then, and a draining daemon queues nothing new, so
-  // no connection thread is left waiting on it.
+  // The batcher exits once draining and empty; every queued job has
+  // answered every request that joined it by then, and a draining daemon
+  // admits nothing new, so no connection thread is left waiting on it.
   if (batcher_thread_.joinable()) batcher_thread_.join();
 
   listener_.stop();
@@ -85,210 +88,151 @@ void Server::stop() {
 std::string Server::handle_solve_payload(const std::string& payload) {
   obs::ObsSpan admit_span("daemon", "admit");
   const auto admitted_at = std::chrono::steady_clock::now();
-  auto pending = std::make_unique<Pending>();
+  WireRequest wire;
   try {
-    pending->wire = decode_request_body(payload);
+    wire = decode_request_body(payload);
   } catch (const std::exception& e) {
     stats_.on_protocol_error();
     return encode_frame(FrameType::ProtocolError, e.what());
   }
-  pending->key = job_canonical_key(pending->wire.solver,
-                                   pending->wire.request);
-  pending->hash = job_hash_from_key(pending->key);
-  pending->admitted_at = admitted_at;
+  std::string key = job_canonical_key(wire.solver, wire.request);
+  std::string hash = job_hash_from_key(key);
+  const auto reject = [this](double retry_after_ms, const char* reason) {
+    stats_.on_rejected();
+    return encode_frame(FrameType::Reject,
+                        encode_reject_body({retry_after_ms, reason}));
+  };
 
-  // A draining daemon refuses every solve request -- even would-be cache
-  // hits -- so clients migrate away instead of trickling in forever; the
-  // stats mailbox stays queryable.
+  // Admission ends in a reject, an answer to send at once (a live job's
+  // body or a stored record) or a reply to wait for.
+  std::optional<std::string> body;
+  std::optional<SolveRecord> stored;
+  std::future<std::string> reply;
+  bool opened = false;
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (draining_) {
-      stats_.on_rejected();
-      return encode_frame(
-          FrameType::Reject,
-          encode_reject_body({-1.0, "daemon is draining"}));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // A draining daemon refuses every solve request -- even would-be cache
+    // hits -- so clients migrate away instead of trickling in forever; the
+    // stats mailbox stays queryable.
+    if (draining_) return reject(-1.0, "daemon is draining");
+    // Live?  Else on disk?  Else open a job.
+    auto live = live_.find(key);
+    if (live == live_.end() && !(stored = cache_.lookup(hash, key))) {
+      if (queue_.size() >= config_.queue_capacity) {
+        return reject(config_.retry_after_ms, "admission queue full");
+      }
+      live = live_.emplace(std::move(key),
+                           Job{std::move(wire), std::move(hash), {}, {}})
+                 .first;
+      queue_.push_back(live);
+      opened = true;
     }
+    if (live != live_.end() && live->second.body) {
+      body = *live->second.body;
+    } else if (live != live_.end()) {
+      reply = live->second.waiters.emplace_back(Waiter{admitted_at, {}})
+                  .reply.get_future();
+    }
+    stats_.on_admitted(opened);
   }
 
-  // Cache short-circuit: repeat queries never touch the queue.  The
-  // stored body is the bytes the original solve was answered with.
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (std::optional<SolveRecord> hit =
-            cache_.lookup(pending->hash, pending->key)) {
-      stats_.on_admitted();
-      stats_.on_batch_started(1);  // bookkeeping: leaves `queued` at once
-      const double latency =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        admitted_at)
-              .count();
-      stats_.on_completed(ServiceStats::Completion::CacheHit, latency);
-      stats_.on_batch_finished(1);
-      return encode_frame(FrameType::SolveResult,
-                          encode_result_body(*hit));
-    }
+  // A stored record re-encodes to the bytes its solve was answered with.
+  if (stored) body = encode_result_body(*stored);
+  if (body) {
+    stats_.on_completed(ServiceStats::Completion::CacheHit,
+                        seconds_since(admitted_at));
+    return encode_frame(FrameType::SolveResult, *body);
   }
-
-  std::future<std::string> response = pending->response.get_future();
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (draining_) {
-      lock.unlock();
-      stats_.on_rejected();
-      return encode_frame(
-          FrameType::Reject,
-          encode_reject_body({-1.0, "daemon is draining"}));
-    }
-    if (queue_.size() >= config_.queue_capacity) {
-      lock.unlock();
-      stats_.on_rejected();
-      return encode_frame(
-          FrameType::Reject,
-          encode_reject_body(
-              {config_.retry_after_ms, "admission queue full"}));
-    }
-    queue_.push_back(std::move(pending));
-  }
-  stats_.on_admitted();
-  queue_cv_.notify_one();
+  if (opened) queue_cv_.notify_one();
   // Close the admission span before blocking on the batcher: the wait is
   // the batch/settle spans' time, not admission's.
   admit_span.finish();
-  return response.get();
+  return reply.get();
 }
 
 // ----------------------------------------------------------- batcher side --
 
 void Server::batcher_loop() {
-  const auto wait = std::chrono::duration<double, std::milli>(
-      config_.batch_wait_ms);
   for (;;) {
-    std::vector<std::unique_ptr<Pending>> batch;
+    std::vector<LiveJobs::iterator> batch;
     {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
       queue_cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
       if (queue_.empty()) return;  // draining and drained
-      // Optional gather window (off by default): give concurrent clients
-      // a moment to land in the same micro-batch.  Without it a lone
-      // request is solved at once, and requests that queue while a batch
-      // runs still share the next one.
-      if (queue_.size() < config_.batch_max && config_.batch_wait_ms > 0) {
-        queue_cv_.wait_for(lock, wait, [this] {
-          return queue_.size() >= config_.batch_max;
-        });
-      }
       const std::size_t take = std::min(queue_.size(), config_.batch_max);
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+        batch.push_back(queue_.front());
         queue_.pop_front();
       }
     }
     stats_.on_batch_started(batch.size());
-    run_batch(std::move(batch));
+    run_batch(batch);
   }
 }
 
-void Server::run_batch(std::vector<std::unique_ptr<Pending>> batch) {
+void Server::run_batch(const std::vector<LiveJobs::iterator>& batch) {
   obs::ObsSpan batch_span("daemon", "batch");
   if (batch_span.active()) {
     batch_span.rename("batch:" + std::to_string(batch.size()));
   }
-  const auto settle = [&](Pending& pending, const std::string& frame,
-                          ServiceStats::Completion kind) {
-    if (pending.fulfilled) return;
-    const obs::ObsSpan settle_span("daemon", "settle");
-    pending.fulfilled = true;
-    const double latency =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      pending.admitted_at)
-            .count();
-    stats_.on_completed(kind, latency);
-    pending.response.set_value(frame);
-  };
-
-  // Batch-time cache re-check.  The admission-time lookup can run before
-  // an identical in-flight request's record is stored -- even after its
-  // reply went out -- so a duplicate can slip into a *later* batch than
-  // its twin; because batches run serially and each stores its records
-  // before it ends, that twin's record is stored by now, and the re-check
-  // answers the duplicate with the twin's exact bytes instead of solving
-  // it again.  After this pass, identical requests are byte-identical
-  // answers in every interleaving: same batch via dedupe, earlier batch
-  // via this lookup, earlier response via the admission-time lookup.
-  std::vector<std::size_t> live;  // batch indices that still need solving
-  live.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::optional<SolveRecord> hit;
-    {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      hit = cache_.lookup(batch[i]->hash, batch[i]->key);
-    }
-    if (hit) {
-      settle(*batch[i],
-             encode_frame(FrameType::SolveResult, encode_result_body(*hit)),
-             ServiceStats::Completion::CacheHit);
-    } else {
-      live.push_back(i);
-    }
-  }
-
   std::vector<BatchJobView> views;
-  views.reserve(live.size());
-  for (const std::size_t i : live) {
+  views.reserve(batch.size());
+  for (const LiveJobs::iterator& job : batch) {
     views.push_back(
-        {batch[i]->wire.solver, &batch[i]->wire.request, batch[i]->hash});
+        {job->second.wire.solver, &job->second.wire.request, job->second.hash});
   }
 
-  // The hook answers a primary AND its deduped followers the moment the
-  // primary's outcome is final -- all with the primary's bytes, so
-  // concurrent identical requests are answered identically.  It keeps the
-  // record for the store below: the hook runs under solve_batch's progress
-  // mutex, where a disk write would hold back the other lanes' replies.
-  std::vector<std::optional<SolveRecord>> answered(live.size());
+  // The hook answers every request waiting on a job the moment its outcome
+  // is final, all with the same bytes; a request that joins the job later
+  // takes them from `body`.  It keeps the record for the store below: the
+  // hook runs under solve_batch's progress mutex, where a disk write would
+  // hold back the other lanes' replies.  A job solve_batch folds onto a
+  // hash twin (a distinct key) is never answered: its requests lose their
+  // connection when it retires, rather than take the twin's answer.
+  std::vector<std::optional<SolveRecord>> answered(batch.size());
   const BatchProgressHook hook = [&](const BatchProgress& progress,
                                      const BatchOutcome& outcome) {
+    Job& job = batch[progress.job_index]->second;
     SolveRecord record = record_from_outcome(outcome);
-    const std::string frame =
-        encode_frame(FrameType::SolveResult, encode_result_body(record));
-    settle(*batch[live[progress.job_index]], frame,
-           ServiceStats::Completion::Solved);
-    for (const std::size_t follower : progress.duplicates) {
-      settle(*batch[live[follower]], frame,
-             ServiceStats::Completion::Deduped);
+    std::string body = encode_result_body(record);
+    const std::string frame = encode_frame(FrameType::SolveResult, body);
+    std::vector<Waiter> waiters;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job.body = std::move(body);
+      waiters.swap(job.waiters);
+    }
+    const obs::ObsSpan settle_span("daemon", "settle");
+    for (std::size_t w = 0; w < waiters.size(); ++w) {
+      stats_.on_completed(w == 0 ? ServiceStats::Completion::Solved
+                                 : ServiceStats::Completion::Deduped,
+                          seconds_since(waiters[w].admitted_at));
+      waiters[w].reply.set_value(frame);
     }
     answered[progress.job_index] = std::move(record);
     return true;
   };
+  (void)solve_batch(std::span<const BatchJobView>(views),
+                    config_.solve_threads, hook);
 
-  const std::vector<BatchOutcome> outcomes =
-      solve_batch(std::span<const BatchJobView>(views),
-                  config_.solve_threads, hook);
-
-  // Belt and braces: anything the hook did not settle (it settles every
-  // job today) is answered from the joined outcomes so no client hangs.
-  for (std::size_t v = 0; v < live.size(); ++v) {
-    Pending& pending = *batch[live[v]];
-    if (pending.fulfilled) continue;
-    const std::string body =
-        encode_result_body(record_from_outcome(outcomes[v]));
-    settle(pending, encode_frame(FrameType::SolveResult, body),
-           outcomes[v].deduped ? ServiceStats::Completion::Deduped
-                               : ServiceStats::Completion::Solved);
-  }
-
-  // Store every answered record after its reply, but before this batch
-  // ends: the next batch's re-check then finds it, so a repeat admitted
-  // between the reply and the store still gets these bytes.  The record
-  // round-trips bit-exactly, so a later cache hit re-encodes to the bytes
-  // sent: cold and warm answers are byte-identical.
-  for (std::size_t v = 0; v < live.size(); ++v) {
-    if (!answered[v]) continue;
-    try {
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
-      cache_.store(batch[live[v]]->hash, batch[live[v]]->key, *answered[v]);
-    } catch (const std::exception&) {
-      // The cache is an accelerator; a full disk must not fail the solve.
+  // Store every answered record after its reply, and retire its job in the
+  // same critical section: a repeat admitted before it finds the live
+  // job's body, one admitted after finds the stored record, so it is never
+  // solved again.  The record round-trips bit-exactly, so a later cache
+  // hit re-encodes to the bytes sent: cold and warm answers are
+  // byte-identical.
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (answered[i]) {
+        try {
+          cache_.store(batch[i]->second.hash, batch[i]->first, *answered[i]);
+        } catch (const std::exception&) {
+          // The cache is an accelerator; a full disk must not fail the solve.
+        }
+      }
+      live_.erase(batch[i]);
     }
   }
   stats_.on_batch_finished(batch.size());

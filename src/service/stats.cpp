@@ -16,8 +16,9 @@ constexpr const char* kProtocolErrors = "service.protocol_errors";
 constexpr const char* kLatency = "service.latency";
 }  // namespace
 
-void ServiceStats::on_admitted() {
+void ServiceStats::on_admitted(bool opened) {
   registry_.add(kAdmitted);
+  if (!opened) return;
   const std::lock_guard<std::mutex> lock(mutex_);
   ++state_.queued;
 }

@@ -5,8 +5,8 @@
 // cumulative counters, current queue depth and in-flight count, and a
 // log-bucketed per-request latency histogram -- and renders itself as one
 // JSON object for the StatsReport frame.  Mutation is mutex-guarded (the
-// counters move together: a request leaves `queued` exactly when it
-// enters `in_flight`), queries take a consistent snapshot.
+// counters move together: a job leaves `queued` exactly when it enters
+// `in_flight`), queries take a consistent snapshot.
 #pragma once
 
 #include <cstddef>
@@ -43,14 +43,14 @@ struct CoordinatorGauges {
 
 /// Counter snapshot; every field cumulative unless noted.
 struct StatsSnapshot {
-  std::uint64_t admitted = 0;    ///< accepted into the queue or cache-hit
+  std::uint64_t admitted = 0;    ///< opened or joined a job, or cache-hit
   std::uint64_t rejected = 0;    ///< backpressure / drain rejects
-  std::uint64_t cache_hits = 0;  ///< answered from the ResultCache
+  std::uint64_t cache_hits = 0;  ///< from the cache or an answered job
   std::uint64_t solved = 0;      ///< answered by running a solver
-  std::uint64_t deduped = 0;     ///< answered as within-batch duplicates
+  std::uint64_t deduped = 0;     ///< joined a job being solved
   std::uint64_t protocol_errors = 0;  ///< malformed frames / bodies seen
-  std::size_t queued = 0;        ///< current: admitted, not yet batched
-  std::size_t in_flight = 0;     ///< current: inside solve_batch
+  std::size_t queued = 0;        ///< current: jobs admitted, not batched
+  std::size_t in_flight = 0;     ///< current: jobs inside solve_batch
   bool draining = false;
   LatencyHistogram latency;      ///< admission-to-response, completed only
   CoordinatorGauges board;       ///< cluster claim board (coordinator only)
@@ -59,7 +59,9 @@ struct StatsSnapshot {
 /// The mailbox.  All methods are thread-safe.
 class ServiceStats {
  public:
-  void on_admitted();
+  /// A request was admitted; `queued + 1` when it `opened` a job, not
+  /// when it joined a live job or hit the cache.
+  void on_admitted(bool opened);
   void on_rejected();
   void on_protocol_error();
   /// `queued - n`, `in_flight + n`: a micro-batch left the queue.

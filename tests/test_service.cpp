@@ -106,6 +106,15 @@ std::thread hold_batcher(const Server& server, const std::string& socket) {
   return holder;
 }
 
+/// Read after `stop()`: no job is left queued or in flight.  ServiceStats
+/// clamps underflow, so only this shows a request counted into either
+/// level and never out of it.
+void expect_idle(const Server& server) {
+  const StatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 /// Records spans for one test; leaves the process tracer off and empty.
 class ScopedTrace {
  public:
@@ -146,7 +155,6 @@ TEST(ServeDaemon, LifecycleRequestsDrainAndStats) {
   ServerConfig config;
   config.socket_path = paths.socket;
   config.cache_dir = paths.cache_dir;
-  config.batch_wait_ms = 0.0;
   Server server(config);
 
   const std::vector<SolveRequest> requests = distinct_requests(3, 5);
@@ -196,6 +204,7 @@ TEST(ServeDaemon, LifecycleRequestsDrainAndStats) {
   }
   server.stop();
   EXPECT_FALSE(fs::exists(paths.socket));  // socket unlinked on stop
+  expect_idle(server);
   fs::remove_all(paths.cache_dir);
 }
 
@@ -203,7 +212,6 @@ TEST(ServeDaemon, ColdAnswersMatchDirectSolveBatchModuloTiming) {
   const TestPaths paths = test_paths("cold");
   ServerConfig config;
   config.socket_path = paths.socket;  // no cache: every answer is a solve
-  config.batch_wait_ms = 0.0;
   Server server(config);
 
   const std::vector<SolveRequest> requests = distinct_requests(3, 5);
@@ -273,17 +281,17 @@ TEST(ServeDaemon, WarmAnswersAreByteIdenticalToDirectSolveBatch) {
     ASSERT_EQ(reply.kind, SolveReply::Kind::Result);
     EXPECT_EQ(reply.raw_body, expected_bodies[i]) << "request " << i;
   }
+  server.stop();
   EXPECT_EQ(server.stats().cache_hits, requests.size());
   EXPECT_EQ(server.stats().solved, 0u);
-  server.stop();
+  expect_idle(server);
   fs::remove_all(paths.cache_dir);
 }
 
 TEST(ServeDaemon, ConcurrentIdenticalRequestsDedupeToIdenticalBytes) {
-  // Identical requests queued behind a running batch are taken together:
-  // one solve, and deduped followers answered with the primary's bytes.
-  // The cache is on and misses them all, because the batch that solves
-  // them stores its record only after answering them.
+  // Identical requests sent while the batcher is busy make one job: the
+  // first opens it after a cache miss, the rest join it, and one solve
+  // answers them all with the same bytes.
   const TestPaths paths = test_paths("dedupe");
   ServerConfig config;
   config.socket_path = paths.socket;
@@ -304,21 +312,104 @@ TEST(ServeDaemon, ConcurrentIdenticalRequestsDedupeToIdenticalBytes) {
       }
     });
   }
-  EXPECT_TRUE(wait_until([&] { return server.stats().queued >= kClients; }))
-      << "the requests never queued behind the search";
+  // Followers take no queue slot: wait for every admission instead.
+  EXPECT_TRUE(
+      wait_until([&] { return server.stats().admitted >= kClients + 1; }))
+      << "the requests never reached the daemon behind the search";
   holder.join();
   for (std::thread& t : clients) t.join();
   for (std::size_t c = 0; c < kClients; ++c) {
     EXPECT_FALSE(bodies[c].empty());
     EXPECT_EQ(bodies[c], bodies[0]);
   }
+  server.stop();
   const StatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.admitted, kClients + 1);
-  EXPECT_EQ(stats.solved, 2u);  // the search and the primary
+  EXPECT_EQ(stats.solved, 2u);  // the search and the job's opener
   EXPECT_EQ(stats.deduped, kClients - 1);
   EXPECT_EQ(stats.cache_hits, 0u);
-  server.stop();
+  expect_idle(server);
   fs::remove_all(paths.cache_dir);
+}
+
+TEST(ServeDaemon, AnIdenticalRequestWaitsForTheSolveInFlight) {
+  // No cache: only the live job can answer a twin sent while it is being
+  // solved.  The twin joins it instead of solving again, so both get the
+  // same bytes, wall-clock fields included.
+  const TestPaths paths = test_paths("twin");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  Server server(config);
+
+  const SolveRequest request = budgeted_brute_force(1.0);
+  std::string first;
+  std::thread opener([&] {
+    ServeClient client(paths.socket);
+    const SolveReply reply = client.solve("brute_force", request);
+    EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
+    first = reply.raw_body;
+  });
+  EXPECT_TRUE(wait_until([&] { return server.stats().in_flight >= 1; }))
+      << "the budgeted search never ran";
+  SolveReply twin;
+  {
+    ServeClient client(paths.socket);
+    twin = client.solve("brute_force", request);
+  }
+  opener.join();
+  EXPECT_EQ(twin.kind, SolveReply::Kind::Result);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(twin.raw_body, first);
+  server.stop();
+  const StatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.solved, 1u);
+  EXPECT_EQ(stats.deduped, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  expect_idle(server);
+}
+
+TEST(ServeDaemon, DrainAnswersTheFollowersOfAQueuedJob) {
+  // A drain refuses every new request, a twin of a live job included, but
+  // a queued job still runs and answers every request that joined it.
+  const TestPaths paths = test_paths("drainq");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  Server server(config);
+  std::thread holder = hold_batcher(server, paths.socket);
+
+  const SolveRequest request = distinct_requests(1, 5).front();
+  std::vector<std::string> bodies(2);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < bodies.size(); ++c) {
+    clients.emplace_back([&, c] {
+      ServeClient client(paths.socket);
+      const SolveReply reply = client.solve("fifo_optimal", request);
+      EXPECT_EQ(reply.kind, SolveReply::Kind::Result);
+      bodies[c] = reply.raw_body;
+    });
+    // X opens the job before X' is sent to join it.
+    EXPECT_TRUE(wait_until([&] { return server.stats().admitted >= c + 2; }))
+        << "request " << c << " was never admitted";
+  }
+  EXPECT_EQ(server.stats().queued, 1u);  // X' takes no queue slot
+
+  server.begin_drain();
+  {
+    ServeClient client(paths.socket);
+    const SolveReply late = client.solve("fifo_optimal", request);
+    EXPECT_EQ(late.kind, SolveReply::Kind::Rejected);
+    EXPECT_LT(late.reject.retry_after_ms, 0.0);
+  }
+  holder.join();
+  for (std::thread& t : clients) t.join();
+  EXPECT_FALSE(bodies[0].empty());
+  EXPECT_EQ(bodies[1], bodies[0]);
+  server.stop();
+  const StatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.solved, 2u);  // the search and X
+  EXPECT_EQ(stats.deduped, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  expect_idle(server);
 }
 
 TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
@@ -327,7 +418,6 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
   config.socket_path = paths.socket;
   config.queue_capacity = 1;
   config.batch_max = 1;
-  config.batch_wait_ms = 0.0;
   config.solve_threads = 1;
   config.retry_after_ms = 7.5;
   Server server(config);
@@ -367,14 +457,15 @@ TEST(ServeDaemon, BackpressureRejectsWithRetryAfterInsteadOfHanging) {
   }
   a.join();
   b.join();
-  EXPECT_EQ(server.stats().rejected, 1u);
   server.stop();
+  EXPECT_EQ(server.stats().rejected, 1u);
+  expect_idle(server);
 }
 
 TEST(ServeDaemon, LoneRequestIsNotHeldForTheGatherWindow) {
-  // By default the batcher opens no gather window: a request alone in the
-  // daemon starts its batch as soon as the batcher wakes, instead of
-  // waiting for company that never comes.
+  // The batcher opens no gather window: a request alone in the daemon
+  // starts its batch as soon as the batcher wakes, instead of waiting for
+  // company that never comes.
   const TestPaths paths = test_paths("lone");
   ServerConfig config;
   config.socket_path = paths.socket;
@@ -413,9 +504,9 @@ TEST(ServeDaemon, LoneRequestIsNotHeldForTheGatherWindow) {
 
 TEST(ServeDaemon, RepeatRightAfterTheAnswerIsByteIdentical) {
   // The reply is settled before its record is stored, so a repeat sent
-  // the moment the answer lands can miss the admission lookup.  The batch
-  // stores before it returns, so the next batch's re-check answers the
-  // repeat from the cache: same bytes, never a second solve.
+  // the moment the answer lands can find nothing on disk yet.  Its job is
+  // live until the store lands, so the repeat takes the job's answer or
+  // the stored record: same bytes, never a second solve.
   const TestPaths paths = test_paths("repeat");
   ServerConfig config;
   config.socket_path = paths.socket;
@@ -432,11 +523,12 @@ TEST(ServeDaemon, RepeatRightAfterTheAnswerIsByteIdentical) {
     ASSERT_EQ(repeat.kind, SolveReply::Kind::Result);
     EXPECT_EQ(repeat.raw_body, first.raw_body) << "request " << i;
   }
+  server.stop();
   const StatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.solved, requests.size());
   EXPECT_EQ(stats.cache_hits, requests.size());
   EXPECT_EQ(stats.deduped, 0u);
-  server.stop();
+  expect_idle(server);
   fs::remove_all(paths.cache_dir);
 }
 
@@ -510,32 +602,31 @@ TEST(ServeDaemon, OutOfRangeTimesAreRejectedBeforeTheSocketIsBound) {
   const double bad[] = {std::numeric_limits<double>::infinity(),
                         std::numeric_limits<double>::quiet_NaN(), -1.0,
                         1e300, 3'600'001.0};
-  for (const std::string field : {"batch_wait_ms", "retry_after_ms"}) {
-    for (const double value : bad) {
-      const TestPaths paths = test_paths("conf");
-      ServerConfig config;
-      config.socket_path = paths.socket;
-      (field == "batch_wait_ms" ? config.batch_wait_ms
-                                : config.retry_after_ms) = value;
-      try {
-        const Server server(config);
-        ADD_FAILURE() << field << " = " << value << " was accepted";
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
-            << e.what();
-      }
-      EXPECT_FALSE(fs::exists(paths.socket)) << field << " = " << value;
+  for (const double value : bad) {
+    const TestPaths paths = test_paths("conf");
+    ServerConfig config;
+    config.socket_path = paths.socket;
+    config.retry_after_ms = value;
+    try {
+      const Server server(config);
+      ADD_FAILURE() << "retry_after_ms = " << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("retry_after_ms"),
+                std::string::npos)
+          << e.what();
     }
+    EXPECT_FALSE(fs::exists(paths.socket)) << "retry_after_ms = " << value;
   }
 
   // Zero and the one-hour cap are in range.
-  const TestPaths paths = test_paths("conf");
-  ServerConfig config;
-  config.socket_path = paths.socket;
-  config.batch_wait_ms = 3'600'000.0;
-  config.retry_after_ms = 0.0;
-  Server server(config);
-  server.stop();
+  for (const double value : {0.0, 3'600'000.0}) {
+    const TestPaths paths = test_paths("conf");
+    ServerConfig config;
+    config.socket_path = paths.socket;
+    config.retry_after_ms = value;
+    Server server(config);
+    server.stop();
+  }
 }
 
 TEST(ServeDaemon, GarbageBytesGetProtocolErrorsNeverCrashes) {
@@ -568,8 +659,9 @@ TEST(ServeDaemon, GarbageBytesGetProtocolErrorsNeverCrashes) {
         client.solve("fifo_optimal", distinct_requests(1, 4).front());
     EXPECT_EQ(good.kind, SolveReply::Kind::Result);
   }
-  EXPECT_GE(server.stats().protocol_errors, 3u);
   server.stop();
+  EXPECT_GE(server.stats().protocol_errors, 3u);
+  expect_idle(server);
 }
 
 TEST(ServeDaemon, StopLeavesReusedConnectionFdNumbersAlone) {
@@ -640,6 +732,35 @@ TEST(ServeReplay, StreamRoundTripsAndReplayReportsHitRatio) {
   EXPECT_NE(bench.find("\"latency_p99_s\":"), std::string::npos);
   server.stop();
   fs::remove_all(paths.cache_dir);
+}
+
+TEST(ServeReplay, UndecodableBodyCountsAsFailed) {
+  // The daemon answers a body it cannot decode with a ProtocolError and
+  // keeps the connection open: the replay fails that request and carries
+  // on over the same connection.
+  const TestPaths paths = test_paths("badbody");
+  ServerConfig config;
+  config.socket_path = paths.socket;
+  Server server(config);
+
+  const std::vector<SolveRequest> requests = distinct_requests(2, 4);
+  const std::vector<std::string> bodies = {
+      encode_request_body("fifo_optimal", requests[0]), "not a request body",
+      encode_request_body("fifo_optimal", requests[1])};
+  ReplayParams params;
+  params.socket_path = paths.socket;
+  params.concurrency = 1;
+  const ReplayReport report = run_replay(params, bodies);
+  EXPECT_EQ(report.completed, 2u);
+  EXPECT_EQ(report.failed, 1u);
+  ASSERT_EQ(report.responses.size(), bodies.size());
+  EXPECT_TRUE(report.responses[1].empty());
+  for (const std::size_t i : {0u, 2u}) {
+    const SolveRecord record = decode_result_body(report.responses[i]);
+    EXPECT_TRUE(record.solved) << "request " << i;
+    EXPECT_TRUE(record.validated) << "request " << i;
+  }
+  server.stop();
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -340,27 +339,6 @@ TEST(SolveBatch, ProgressHookSeesEveryPrimaryJobInOrder) {
     EXPECT_EQ(completed_counts[i], i + 1);  // serialized, monotonic
   }
   EXPECT_TRUE(outcomes[4].deduped);
-}
-
-TEST(SolveBatch, ProgressHookReportsDedupedFollowersOfEachPrimary) {
-  const SolveRequest request = request_for(all_solver_platform());
-  std::vector<BatchJob> jobs(5);
-  jobs[0] = {"fifo_optimal", request};
-  jobs[1] = {"lifo", request};
-  jobs[2] = {"fifo_optimal", request};  // follower of 0
-  jobs[3] = {"fifo_optimal", request};  // follower of 0
-  jobs[4] = {"lifo", request};          // follower of 1
-  std::map<std::size_t, std::vector<std::size_t>> duplicates_of;
-  const auto outcomes = solve_batch(
-      jobs, 2, [&](const BatchProgress& progress, const BatchOutcome&) {
-        duplicates_of[progress.job_index].assign(
-            progress.duplicates.begin(), progress.duplicates.end());
-        return true;
-      });
-  ASSERT_EQ(outcomes.size(), 5u);
-  ASSERT_EQ(duplicates_of.size(), 2u);  // two primaries reported
-  EXPECT_EQ(duplicates_of.at(0), (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(duplicates_of.at(1), (std::vector<std::size_t>{4}));
 }
 
 TEST(SolveBatch, ProgressHookCanCancelTheRemainder) {
