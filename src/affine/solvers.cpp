@@ -83,7 +83,6 @@ void mark_infeasible(const StarPlatform& platform, SolveResult& out) {
   out.solution.lp_feasible = false;
   out.solution.throughput = numeric::Rational();
   out.solution.alpha.assign(platform.size(), numeric::Rational());
-  out.solution.idle.assign(platform.size(), numeric::Rational());
 }
 
 /// Sorted copy of a participant set for reporting.

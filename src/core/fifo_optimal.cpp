@@ -37,9 +37,6 @@ FifoOptimalResult solve_fifo_optimal(const StarPlatform& platform) {
   result.mirrored = true;
   result.solution = mirror_solution;
   result.solution.scenario = Scenario::fifo(flipped_order);
-  // Idle gaps move to different workers under the flip; the packed
-  // construction below recomputes them, so reset the LP slack values.
-  for (auto& x : result.solution.idle) x = Rational();
   result.schedule = realize_schedule(platform, result.solution);
   return result;
 }

@@ -69,8 +69,9 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   // chain row i, and modelling both would put two identical columns in
   // every row -- any optimum with a non-binding chain row would then have
   // a zero-reduced-cost twin, making every solution non-unique by
-  // construction and defeating the warm-start uniqueness gate.  Callers
-  // recover x_i from the row slack at extraction.
+  // construction and defeating the warm-start uniqueness gate.  Chain rows
+  // are added in sigma_1 order, so `row_slack(k, values)` is the idle time
+  // of worker send_order[k]; solves do not compute it.
   std::vector<std::size_t> alpha_var(q);
   for (std::size_t k = 0; k < q; ++k) {
     const std::size_t w = scenario.send_order[k];
@@ -142,8 +143,8 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
   lp::WarmInfo warm;
   const lp::Solution<Rational> lp_solution =
       options.warm_basis.empty()
-          ? problem.solve_exact(options.exact_engine)
-          : problem.solve_exact(options.exact_engine,
+          ? problem.solve_exact()
+          : problem.solve_exact(lp::ExactEngine::Bareiss,
                                 lp::WarmBasis{options.warm_basis}, &warm);
 
   ScenarioSolution out;
@@ -154,7 +155,6 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
                    "linear-model scenario LP cannot be infeasible");
     out.lp_feasible = false;
     out.alpha.assign(platform.size(), Rational());
-    out.idle.assign(platform.size(), Rational());
     return out;
   }
   DLSCHED_EXPECT(lp_solution.status == lp::Status::Optimal,
@@ -162,13 +162,8 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
   out.throughput = lp_solution.objective;
   out.lp_pivots = lp_solution.pivots;
   out.alpha.assign(platform.size(), Rational());
-  out.idle.assign(platform.size(), Rational());
-  const std::size_t q = scenario.size();
-  for (std::size_t k = 0; k < q; ++k) {
-    // Idle is the chain row's slack (rows are added in sigma_1 order, so
-    // chain row k belongs to send_order[k]); see build_scenario_lp.
+  for (std::size_t k = 0; k < scenario.size(); ++k) {
     out.alpha[scenario.send_order[k]] = lp_solution.values[k];
-    out.idle[scenario.send_order[k]] = problem.row_slack(k, lp_solution.values);
   }
   return out;
 }
@@ -215,7 +210,6 @@ ScenarioSolution lift_solution(const ScenarioSolutionD& d) {
   s.throughput = Rational::from_double(d.throughput);
   s.alpha.reserve(d.alpha.size());
   for (double a : d.alpha) s.alpha.push_back(Rational::from_double(a));
-  s.idle.assign(d.alpha.size(), Rational());
   s.scenario = d.scenario;
   s.lp_pivots = d.lp_pivots;
   s.lp_feasible = d.lp_feasible;

@@ -15,9 +15,9 @@
 // alongside the solver's own row slacks would duplicate every chain row's
 // slack column, so any optimum with a non-binding chain row would carry a
 // zero-reduced-cost twin and the warm-start uniqueness gate (lp/simplex.hpp)
-// could never accept a seed.  `ScenarioSolution::idle` recovers x_i from
-// the row slack, which also makes idle well-defined at every vertex (the
-// explicit-column formulation splits slack between x_i and s_i arbitrarily).
+// could never accept a seed.  A solve does not report x_i: the realized
+// schedule re-derives every gap from alpha (`realize_schedule`), and
+// `LpProblem::row_slack` recovers x_i exactly from the LP values.
 #pragma once
 
 #include <vector>
@@ -36,7 +36,6 @@ using numeric::Rational;
 struct ScenarioSolution {
   Rational throughput;                ///< rho = sum alpha_i (load per T = 1)
   std::vector<Rational> alpha;        ///< indexed by *platform* worker id
-  std::vector<Rational> idle;         ///< LP idle variables, same indexing
   Scenario scenario;                  ///< the scenario that was solved
   std::size_t lp_pivots = 0;
   /// 1 when this solve was warm-started from `LpOptions::warm_basis` and
@@ -68,11 +67,6 @@ struct LpOptions {
   /// platform generators; see core/affine.hpp.
   std::vector<double> send_latencies;
   std::vector<double> return_latencies;
-
-  /// Exact LP engine.  Both produce bit-identical solutions; the
-  /// fraction-free Bareiss tableau avoids per-entry gcd reductions and is
-  /// the default.
-  lp::ExactEngine exact_engine = lp::ExactEngine::Bareiss;
 
   /// Warm-start seed in this LP's structural-variable space (alpha_k = k
   /// in sigma_1 position order); empty = cold solve.  Build
@@ -151,7 +145,7 @@ struct ScenarioSolutionD {
 
 /// Lossless lift of a double-precision LP solution into the exact shape
 /// (`Rational::from_double` is exact, so `.to_double()` round-trips
-/// bit-exactly).  Idle variables are zeroed: the double path drops them.
+/// bit-exactly).
 [[nodiscard]] ScenarioSolution lift_solution(const ScenarioSolutionD& d);
 
 /// Constructs the normalized (packed) schedule realizing a solution for a

@@ -35,10 +35,6 @@ namespace {
 
 using numeric::Rational;
 
-/// Lossless lift of a double-precision LP solution into the exact shape
-/// (shared with the affine solvers; see core/scenario_lp.hpp).
-ScenarioSolution lift(const ScenarioSolutionD& d) { return lift_solution(d); }
-
 /// Rebuilds a `ScenarioSolution` from a realized schedule (used by the
 /// transformation solvers, whose loads come from exchanges / flips rather
 /// than an LP).  Loads are per unit horizon.
@@ -46,7 +42,6 @@ ScenarioSolution solution_from_schedule(const StarPlatform& platform,
                                         const Schedule& schedule) {
   ScenarioSolution s;
   s.alpha.assign(platform.size(), Rational());
-  s.idle.assign(platform.size(), Rational());
   std::vector<std::size_t> send;
   std::vector<std::size_t> ret;
   send.reserve(schedule.size());
@@ -55,7 +50,6 @@ ScenarioSolution solution_from_schedule(const StarPlatform& platform,
   for (const ScheduleEntry& entry : schedule.entries) {
     send.push_back(entry.worker);
     s.alpha[entry.worker] = Rational::from_double(entry.alpha * inv_horizon);
-    s.idle[entry.worker] = Rational::from_double(entry.idle * inv_horizon);
     s.throughput += s.alpha[entry.worker];
   }
   for (std::size_t pos : schedule.return_positions) {
@@ -86,7 +80,7 @@ class FifoOptimalSolver final : public Solver {
           platform.has_uniform_z() && platform.z() > 1.0;
       const Scenario scenario = Scenario::fifo(
           mirrored ? platform.order_by_c_desc() : platform.order_by_c());
-      out.solution = lift(solve_scenario_double(platform, scenario));
+      out.solution = lift_solution(solve_scenario_double(platform, scenario));
       out.mirrored = mirrored;
       out.provably_optimal = platform.has_uniform_z();
       out.exact = false;
@@ -125,7 +119,8 @@ class HeuristicSolver final : public Solver {
     out.solver = name_;
     out.schedule_platform = platform;
     if (request.precision == Precision::Fast) {
-      out.solution = lift(solve_heuristic(platform, heuristic_, rng_ptr));
+      out.solution =
+          lift_solution(solve_heuristic(platform, heuristic_, rng_ptr));
       out.exact = false;
     } else {
       out.solution = solve_heuristic_exact(platform, heuristic_, rng_ptr);
@@ -158,7 +153,7 @@ class LifoSolver final : public Solver {
     out.schedule_platform = platform;
     out.provably_optimal = true;  // optimal among LIFO schedules
     if (request.precision == Precision::Fast) {
-      out.solution = lift(solve_heuristic(platform, Heuristic::Lifo));
+      out.solution = lift_solution(solve_heuristic(platform, Heuristic::Lifo));
       out.exact = false;
       out.schedule = realize_schedule(platform, out.solution,
                                       request.horizon);
@@ -167,7 +162,6 @@ class LifoSolver final : public Solver {
     const LifoResult result = solve_lifo_closed_form(platform);
     out.solution.throughput = result.throughput;
     out.solution.alpha = result.alpha;
-    out.solution.idle.assign(platform.size(), Rational());
     out.solution.scenario = Scenario::lifo(result.order);
     out.schedule = result.schedule.scaled(request.horizon);
     return out;
@@ -215,7 +209,7 @@ class BruteForceSolver final : public Solver {
     if (request.precision == Precision::Fast) {
       const BruteForceResultD result =
           brute_force_best_double(platform, options);
-      out.solution = lift(result.best);
+      out.solution = lift_solution(result.best);
       out.exact = false;
       out.scenarios_tried = result.scenarios_tried;
       out.budget_exhausted = result.budget_exhausted;
@@ -264,7 +258,7 @@ class LocalSearchSolver final : public Solver {
     SolveResult out;
     out.solver = name();
     out.schedule_platform = platform;
-    out.solution = lift(result.best);
+    out.solution = lift_solution(result.best);
     out.exact = false;  // the search oracle is the double LP
     out.lp_evaluations = result.lp_evaluations;
     out.ascents = result.ascents;
@@ -336,7 +330,6 @@ class BusClosedFormSolver final : public Solver {
     out.alt_throughput = result.two_port_throughput;
     out.solution.throughput = result.throughput;
     out.solution.alpha = result.alpha;
-    out.solution.idle.assign(platform.size(), Rational());
     out.schedule = result.schedule.scaled(request.horizon);
     out.solution.scenario = solution_from_schedule(platform, out.schedule)
                                 .scenario;
@@ -363,7 +356,6 @@ class NoReturnSolver final : public Solver {
     out.provably_optimal = true;  // optimal for the no-return model
     out.solution.throughput = result.throughput;
     out.solution.alpha = result.alpha;
-    out.solution.idle.assign(platform.size(), Rational());
     out.solution.scenario = Scenario::fifo(result.order);
     out.schedule = result.schedule.scaled(request.horizon);
     std::vector<Worker> stripped(platform.workers().begin(),
@@ -401,7 +393,7 @@ class MultiRoundSolver final : public Solver {
     SolveResult out;
     out.solver = name();
     out.schedule_platform = platform;
-    out.solution = lift(base);
+    out.solution = lift_solution(base);
     out.exact = false;
     out.best_rounds = best->rounds;
     out.multiround_makespan = best->makespan;
@@ -493,7 +485,7 @@ class MirrorFifoSolver final : public Solver {
       // degenerate double vertex surviving the time reversal) we fall
       // through to the exact LP below.
       const ScenarioSolution fast =
-          lift(solve_scenario_double(mirror, mirror_scenario));
+          lift_solution(solve_scenario_double(mirror, mirror_scenario));
       const Schedule mirror_schedule =
           realize_schedule(mirror, fast, request.horizon);
       if (std::optional<Schedule> flipped =
@@ -547,7 +539,7 @@ class ScenarioLpSolver final : public Solver {
     const bool plain =
         !request.two_port && !options.is_affine();
     if (request.precision == Precision::Fast && plain) {
-      out.solution = lift(solve_scenario_double(platform, scenario));
+      out.solution = lift_solution(solve_scenario_double(platform, scenario));
       out.exact = false;
     } else {
       if (!request.warm_alpha.empty()) {

@@ -120,7 +120,6 @@ Solution<Rational> BareissSimplex::extract_optimal() {
     }
   }
   std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
-  fill_row_activity(out);
   return out;
 }
 
@@ -429,22 +428,6 @@ void BareissSimplex::expel_basic_artificials() {
       // update so the exactness invariant only ever sees live rows.
       pivot(i, col, /*update_objective_row=*/false);
     }
-  }
-}
-
-void BareissSimplex::fill_row_activity(Solution<Rational>& out) const {
-  out.row_activity.assign(lp_.rows.size(), Rational{});
-  out.tight.assign(lp_.rows.size(), false);
-  for (std::size_t i = 0; i < lp_.rows.size(); ++i) {
-    Rational activity{};
-    for (std::size_t j = 0; j < lp_.num_vars; ++j) {
-      if (lp_.rows[i][j].is_zero()) continue;
-      if (out.values[j].is_zero()) continue;
-      activity += lp_.rows[i][j] * out.values[j];
-    }
-    out.row_activity[i] = activity;
-    const Rational gap = lp_.rhs[i] - activity;
-    out.tight[i] = gap.is_zero();
   }
 }
 

@@ -21,9 +21,8 @@
 // at every step, all sign tests, Bland's entering choice, the
 // cross-multiplied ratio test and the tie-breaks make the *same decisions*,
 // so the pivot sequence -- and therefore `Solution<Rational>` (status,
-// objective, values, row_activity, tight, pivots) -- is bit-identical to
-// the Rational engine's.  The differential suite in tests/test_bareiss.cpp
-// asserts exactly that.
+// objective, values, pivots) -- is bit-identical to the Rational engine's.
+// The differential suite in tests/test_bareiss.cpp asserts exactly that.
 #pragma once
 
 #include "lp/simplex.hpp"
@@ -65,7 +64,6 @@ class BareissSimplex {
   bool run_phase(bool phase1);
   void pivot(std::size_t row, std::size_t col, bool update_objective_row);
   void expel_basic_artificials();
-  void fill_row_activity(Solution<Rational>& out) const;
 
   const DenseLp<Rational>& lp_;
   std::vector<std::vector<BigInt>> tab_;  ///< scaled integer tableau

@@ -28,16 +28,6 @@ std::size_t LpProblem::add_constraint(std::vector<Term> terms,
   return rows_.size() - 1;
 }
 
-const std::string& LpProblem::variable_name(std::size_t var) const {
-  DLSCHED_EXPECT(var < var_names_.size(), "variable index out of range");
-  return var_names_[var];
-}
-
-const std::string& LpProblem::constraint_name(std::size_t row) const {
-  DLSCHED_EXPECT(row < rows_.size(), "constraint index out of range");
-  return rows_[row].name;
-}
-
 Rational LpProblem::row_slack(std::size_t row,
                               const std::vector<Rational>& values) const {
   DLSCHED_EXPECT(row < rows_.size(), "constraint index out of range");

@@ -43,13 +43,12 @@ class LpProblem {
   [[nodiscard]] std::size_t num_constraints() const noexcept {
     return rows_.size();
   }
-  [[nodiscard]] const std::string& variable_name(std::size_t var) const;
-  [[nodiscard]] const std::string& constraint_name(std::size_t row) const;
 
   /// Exact slack `rhs - sum(terms * values)` of one row at a solution
-  /// point (zero for a binding or equality row).  Lets callers recover
-  /// slack-like quantities -- e.g. the paper's idle variables x_i -- that
-  /// are deliberately not modelled as explicit columns.
+  /// point (zero for a binding or equality row).  Solves do not report
+  /// row slacks; tests recompute them from `values` with this, e.g. the
+  /// paper's idle variables x_i (the slacks of the scenario LP's chain
+  /// rows) in the exact Lemma 1 check.
   [[nodiscard]] Rational row_slack(std::size_t row,
                                    const std::vector<Rational>& values) const;
 

@@ -55,10 +55,8 @@ struct WarmInfo {
   std::size_t crash_pivots = 0;  ///< refactorization pivots spent crashing
 };
 
-/// Result of a solve.  `values` has one entry per structural variable,
-/// `row_activity` one per constraint (the value of the row's linear form),
-/// and `tight` marks constraints satisfied with equality at the optimum --
-/// used to verify the vertex property of the paper's Lemma 1.
+/// Result of a solve.  `values` has one entry per structural variable; a
+/// row's slack at the optimum is a function of them (`LpProblem::row_slack`).
 /// `basic_structurals` (sorted) is the warm-start seed for a neighboring
 /// LP; it is advisory and excluded from the warm/cold differential
 /// guarantee (a degenerate vertex admits several bases for one optimum).
@@ -67,8 +65,6 @@ struct Solution {
   Status status = Status::Infeasible;
   T objective{};
   std::vector<T> values;
-  std::vector<T> row_activity;
-  std::vector<bool> tight;
   std::vector<std::size_t> basic_structurals;
   std::size_t pivots = 0;
 };
@@ -137,8 +133,8 @@ class Simplex {
   /// cold path (and keeps the wasted crash pivots in the count -- `pivots`
   /// reports work done, not cold-path distance) whenever the seed is
   /// singular/infeasible for this instance or the warm optimum cannot be
-  /// proven unique, so status/objective/values/row_activity/tight are
-  /// bit-identical to an unseeded solve; only `pivots` may differ.
+  /// proven unique, so status/objective/values are bit-identical to an
+  /// unseeded solve; only `pivots` may differ.
   [[nodiscard]] Solution<T> solve(const WarmBasis& seed,
                                   WarmInfo* info = nullptr) {
     return solve_internal(&seed, info);
@@ -213,7 +209,6 @@ class Simplex {
       }
     }
     std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
-    fill_row_activity(out);
     return out;
   }
 
@@ -499,26 +494,6 @@ class Simplex {
       // If the row is zero across structural columns it is redundant; the
       // artificial stays basic at zero and its column is forbidden in
       // phase 2, which is harmless.
-    }
-  }
-
-  void fill_row_activity(Solution<T>& out) const {
-    out.row_activity.assign(lp_.rows.size(), T{});
-    out.tight.assign(lp_.rows.size(), false);
-    for (std::size_t i = 0; i < lp_.rows.size(); ++i) {
-      T activity{};
-      for (std::size_t j = 0; j < lp_.num_vars; ++j) {
-        if (P::is_zero(lp_.rows[i][j])) continue;
-        // Most structural variables are non-basic (exactly zero) at a
-        // vertex; their terms contribute nothing, so skip the exact
-        // multiply.  Bitwise test: a sub-tolerance double value still
-        // contributes to the activity sum.
-        if (P::is_skippable_zero(out.values[j])) continue;
-        activity += lp_.rows[i][j] * out.values[j];
-      }
-      out.row_activity[i] = activity;
-      const T gap = lp_.rhs[i] - activity;
-      out.tight[i] = P::is_zero(gap);
     }
   }
 

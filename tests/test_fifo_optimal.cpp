@@ -89,6 +89,19 @@ TEST_P(Theorem1Sweep, AtMostOneEnrolledWorkerIdles) {
     if (e.idle > 1e-9) ++idlers;
   }
   EXPECT_LE(idlers, 1u);
+
+  // The same count exactly, on the LP vertex itself: x_i is the slack of
+  // chain row i (rows 0..p-1; row p is the one-port row).
+  const lp::LpProblem problem =
+      build_scenario_lp(platform, result.solution.scenario);
+  const lp::Solution<Rational> vertex = problem.solve_exact();
+  ASSERT_EQ(vertex.status, lp::Status::Optimal);
+  EXPECT_EQ(vertex.objective, result.solution.throughput);
+  std::size_t exact_idlers = 0;
+  for (std::size_t k = 0; k < platform.size(); ++k) {
+    if (problem.row_slack(k, vertex.values).is_positive()) ++exact_idlers;
+  }
+  EXPECT_LE(exact_idlers, 1u);
 }
 
 TEST_P(Theorem1Sweep, MirrorSolvesZGreaterThanOne) {
