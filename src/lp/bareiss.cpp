@@ -17,16 +17,13 @@ BigInt lcm(const BigInt& a, const BigInt& b) {
   return a / BigInt::gcd(a, b) * b;
 }
 
-/// numerator / denominator, asserting the division is exact -- the
-/// fraction-free identity guarantees it, and divmod hands us the remainder
-/// for free, so the tripwire costs nothing extra.
+/// numerator / denominator, asserting the division is exact.
 BigInt exact_div(const BigInt& numerator, const BigInt& denominator) {
   if (denominator.is_one()) return numerator;
   BigInt quotient;
   BigInt remainder;
   BigInt::divmod(numerator, denominator, quotient, remainder);
-  DLSCHED_EXPECT(remainder.is_zero(),
-                 "bareiss: fraction-free division not exact");
+  DLSCHED_EXPECT(remainder.is_zero(), "bareiss: scaling division not exact");
   return quotient;
 }
 
@@ -350,7 +347,7 @@ void BareissSimplex::pivot(std::size_t row, std::size_t col,
   ++pivots_;
   std::vector<BigInt>& prow = tab_[row];
   const BigInt p = prow[col];
-  const BigInt rrhs = rhs_[row];
+  const BigInt& rrhs = rhs_[row];
   for (std::size_t i = 0; i < tab_.size(); ++i) {
     if (i == row) continue;
     std::vector<BigInt>& trow = tab_[i];
@@ -360,39 +357,30 @@ void BareissSimplex::pivot(std::size_t row, std::size_t col,
       if (j == col) continue;
       BigInt& cell = trow[j];
       const BigInt& pv = prow[j];
-      const bool cross = !factor_zero && !pv.is_zero();
-      if (cell.is_zero() && !cross) continue;  // stays exactly zero
-      BigInt numer = cell * p;
-      if (cross) numer -= factor * pv;
-      cell = exact_div(numer, den_);
+      if (cell.is_zero() && (factor_zero || pv.is_zero())) continue;  // stays 0
+      BigInt::fraction_free_update(cell, p, factor, pv, den_);
     }
-    {
-      BigInt numer = rhs_[i] * p;
-      if (!factor_zero) numer -= factor * rrhs;
-      rhs_[i] = exact_div(numer, den_);
-    }
+    BigInt::fraction_free_update(rhs_[i], p, factor, rrhs, den_);
     trow[col] = BigInt{};
   }
   if (update_objective_row) {
     // Same identity on the reduced-cost row and the objective corner; a
     // zero entering cost still forces the p/den rescale (the tableau-wide
     // denominator changes even when the true reduced costs do not).
-    const BigInt rfactor = std::move(reduced_[col]);
+    BigInt rfactor = std::move(reduced_[col]);
     const bool rzero = rfactor.is_zero();
     for (std::size_t j = 0; j < reduced_.size(); ++j) {
       if (j == col) continue;
       BigInt& cell = reduced_[j];
       const BigInt& pv = prow[j];
-      const bool cross = !rzero && !pv.is_zero();
-      if (cell.is_zero() && !cross) continue;
-      BigInt numer = cell * p;
-      if (cross) numer -= rfactor * pv;
-      cell = exact_div(numer, den_);
+      if (cell.is_zero() && (rzero || pv.is_zero())) continue;
+      BigInt::fraction_free_update(cell, p, rfactor, pv, den_);
     }
     reduced_[col] = BigInt{};
-    BigInt numer = objective_num_ * p;
-    if (!rzero) numer += rfactor * rrhs;
-    objective_num_ = exact_div(numer, den_);
+    // The corner adds the product: objective = sum_i w_i * r_i while
+    // R_j = c_j - sum_i w_i * N_ij.
+    rfactor.negate();
+    BigInt::fraction_free_update(objective_num_, p, rfactor, rrhs, den_);
   }
   basis_[row] = col;
   pivoted_rows_[row] = true;

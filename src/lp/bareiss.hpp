@@ -15,7 +15,11 @@
 // and leaves the pivot row untouched; afterwards `den` becomes `N_rc`.
 // No per-entry gcd is ever taken.  The reduced-cost row and the objective
 // corner carry an extra integer scale `s_obj` (lcm of the objective's
-// denominators) and update by the same identity.
+// denominators) and update by the same identity.  Every one of these
+// updates is one `BigInt::fraction_free_update` call, which computes in
+// per-thread scratch and writes into the cell's own storage, so a pivot
+// makes no per-update heap allocation; the exact-division check stays,
+// inside that call.
 //
 // Because N / (d0 * den) equals the rational tableau of `Simplex<Rational>`
 // at every step, all sign tests, Bland's entering choice, the

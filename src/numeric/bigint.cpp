@@ -12,16 +12,269 @@
 namespace dlsched::numeric {
 
 namespace {
-// Karatsuba pays off only for operands beyond this many limbs; below it the
-// cache-friendly schoolbook loop wins.
-constexpr std::size_t kKaratsubaThreshold = 32;
 
-// Arena-backed scratch vector for divmod's normalized operands.
-struct ArenaScratch {
-  std::vector<std::uint32_t> buf;
-  ArenaScratch() { LimbArena::local().acquire(buf); }
-  ~ArenaScratch() { LimbArena::local().release(buf); }
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+using Span = std::span<const Limb>;
+
+constexpr unsigned kLimbBits = 64;
+
+/// Per-thread working storage of the multi-limb operations.  Each buffer
+/// keeps its capacity, so once a thread has seen its widest operands no
+/// operation allocates here.  divmod_span() owns `un` and `vn`; each public
+/// entry point uses `x`, `y`, `z` and `w` as it likes, and none of them
+/// calls another, so no two live uses of a buffer ever overlap.
+struct Workspace {
+  std::vector<Limb> x, y, z, w;
+  std::vector<Limb> un, vn;
 };
+
+Workspace& workspace() noexcept {
+  thread_local Workspace instance;
+  return instance;
+}
+
+Span trimmed(Span limbs) noexcept {
+  std::size_t n = limbs.size();
+  while (n != 0 && limbs[n - 1] == 0) --n;
+  return limbs.first(n);
+}
+
+void trim(std::vector<Limb>& limbs) noexcept {
+  limbs.resize(trimmed(limbs).size());
+}
+
+int compare_magnitude(Span a, Span b) noexcept {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  for (std::size_t i = a.size(); i-- > 0;) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// out = |a| + |b|, trimmed.  `out` must not be either operand's storage.
+void add_magnitude(Span a, Span b, std::vector<Limb>& out) {
+  if (a.size() < b.size()) std::swap(a, b);
+  out.resize(a.size() + 1);
+  Limb carry = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Wide total =
+        static_cast<Wide>(a[i]) + (i < b.size() ? b[i] : 0) + carry;
+    out[i] = static_cast<Limb>(total);
+    carry = static_cast<Limb>(total >> kLimbBits);
+  }
+  out[a.size()] = carry;
+  trim(out);
+}
+
+/// out = |a| - |b| for |a| >= |b|, trimmed.  `out` must not be either
+/// operand's storage.
+void sub_magnitude(Span a, Span b, std::vector<Limb>& out) {
+  out.resize(a.size());
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Limb bi = i < b.size() ? b[i] : 0;
+    const Limb diff = a[i] - bi - borrow;
+    borrow = (a[i] < bi || (a[i] == bi && borrow != 0)) ? 1 : 0;
+    out[i] = diff;
+  }
+  trim(out);
+}
+
+/// sign * |out| = sa * |a| + sb * |b|; returns sign (0 for zero).  `out`
+/// must not be either operand's storage.
+int signed_sum(Span a, int sa, Span b, int sb, std::vector<Limb>& out) {
+  if (b.empty()) sb = 0;
+  if (a.empty()) sa = 0;
+  if (sb == 0 || sa == sb) {
+    add_magnitude(a, b, out);
+    return out.empty() ? 0 : (sa != 0 ? sa : sb);
+  }
+  if (sa == 0) {
+    out.assign(b.begin(), b.end());
+    return sb;
+  }
+  const int cmp = compare_magnitude(a, b);
+  if (cmp == 0) {
+    out.clear();
+    return 0;
+  }
+  if (cmp > 0) {
+    sub_magnitude(a, b, out);
+    return sa;
+  }
+  sub_magnitude(b, a, out);
+  return sb;
+}
+
+/// out = |a| * |b| (schoolbook), trimmed.  `out` must not be either
+/// operand's storage.
+void mul_magnitude(Span a, Span b, std::vector<Limb>& out) {
+  out.assign(a.size() + b.size(), 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const Wide ai = a[i];
+    Limb carry = 0;
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      // (2^64-1)^2 + 2 * (2^64-1) == 2^128 - 1: never overflows.
+      const Wide total = ai * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<Limb>(total);
+      carry = static_cast<Limb>(total >> kLimbBits);
+    }
+    // Row i - 1 wrote up to index i - 1 + |b|, so this slot is still zero.
+    out[i + b.size()] = carry;
+  }
+  trim(out);
+}
+
+/// Knuth TAOCP vol. 2, algorithm 4.3.1-D on 64-bit limbs with 128-bit
+/// intermediates: u / v for trimmed u and non-empty trimmed v.  Writes the
+/// trimmed quotient and remainder; neither may be an operand's storage.
+void divmod_span(Span u_in, Span v_in, std::vector<Limb>& quotient,
+                 std::vector<Limb>& remainder) {
+  if (compare_magnitude(u_in, v_in) < 0) {
+    quotient.clear();
+    remainder.assign(u_in.begin(), u_in.end());
+    return;
+  }
+  if (v_in.size() == 1) {
+    // Single-limb divisor: one 128-by-64 division per limb.
+    const Limb divisor = v_in[0];
+    quotient.resize(u_in.size());
+    Limb rem = 0;
+    for (std::size_t i = u_in.size(); i-- > 0;) {
+      const Wide cur = (static_cast<Wide>(rem) << kLimbBits) | u_in[i];
+      quotient[i] = static_cast<Limb>(cur / divisor);
+      rem = static_cast<Limb>(cur % divisor);
+    }
+    trim(quotient);
+    remainder.clear();
+    if (rem != 0) remainder.push_back(rem);
+    return;
+  }
+
+  // D1: normalize so that the divisor's top limb has its high bit set.
+  const unsigned shift = static_cast<unsigned>(std::countl_zero(v_in.back()));
+  const std::size_t n = v_in.size();
+  const std::size_t m = u_in.size() - n;
+  Workspace& ws = workspace();
+  std::vector<Limb>& v = ws.vn;
+  v.resize(n);
+  for (std::size_t i = n; i-- > 0;) {
+    Limb val = v_in[i] << shift;
+    if (shift != 0 && i > 0) val |= v_in[i - 1] >> (kLimbBits - shift);
+    v[i] = val;
+  }
+  std::vector<Limb>& u = ws.un;
+  u.resize(u_in.size() + 1);
+  u[u_in.size()] = shift != 0 ? u_in.back() >> (kLimbBits - shift) : 0;
+  for (std::size_t i = u_in.size(); i-- > 0;) {
+    Limb val = u_in[i] << shift;
+    if (shift != 0 && i > 0) val |= u_in[i - 1] >> (kLimbBits - shift);
+    u[i] = val;
+  }
+
+  quotient.resize(m + 1);
+  const Wide base = static_cast<Wide>(1) << kLimbBits;
+  // D2..D7: main loop over quotient digits, most significant first.
+  for (std::size_t j = m + 1; j-- > 0;) {
+    // D3: estimate q_hat from the top two limbs of the current remainder.
+    const Wide numerator =
+        (static_cast<Wide>(u[j + n]) << kLimbBits) | u[j + n - 1];
+    Wide q_hat = numerator / v[n - 1];
+    Wide r_hat = numerator % v[n - 1];
+    while (q_hat >= base ||
+           q_hat * v[n - 2] > ((r_hat << kLimbBits) | u[j + n - 2])) {
+      --q_hat;
+      r_hat += v[n - 1];
+      if (r_hat >= base) break;
+    }
+    // D4: multiply and subtract u[j..j+n] -= q_hat * v.
+    Limb borrow = 0;
+    Limb carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Wide product = q_hat * v[i] + carry;
+      carry = static_cast<Limb>(product >> kLimbBits);
+      const Limb low = static_cast<Limb>(product);
+      const Limb ui = u[i + j];
+      u[i + j] = ui - low - borrow;
+      borrow = (ui < low || (ui == low && borrow != 0)) ? 1 : 0;
+    }
+    __int128 top = static_cast<__int128>(u[j + n]) -
+                   static_cast<__int128>(carry) - borrow;
+    // D5/D6: if the subtraction went negative the estimate was one too big;
+    // add the divisor back.
+    if (top < 0) {
+      --q_hat;
+      Limb add_carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Wide total = static_cast<Wide>(u[i + j]) + v[i] + add_carry;
+        u[i + j] = static_cast<Limb>(total);
+        add_carry = static_cast<Limb>(total >> kLimbBits);
+      }
+      top += add_carry;
+    }
+    u[j + n] = static_cast<Limb>(top);
+    quotient[j] = static_cast<Limb>(q_hat);
+  }
+
+  // D8: denormalize the remainder.
+  remainder.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Limb val = u[i] >> shift;
+    if (shift != 0) val |= u[i + 1] << (kLimbBits - shift);
+    remainder[i] = val;
+  }
+  trim(quotient);
+  trim(remainder);
+}
+
+/// Single-word binary (Stein) gcd: shifts and subtractions only.
+std::uint64_t binary_gcd(std::uint64_t x, std::uint64_t y) noexcept {
+  if (x == 0) return y;
+  if (y == 0) return x;
+  const int common_twos = std::countr_zero(x | y);
+  x >>= std::countr_zero(x);
+  do {
+    y >>= std::countr_zero(y);
+    if (x > y) std::swap(x, y);
+    y -= x;
+  } while (y != 0);
+  return x << common_twos;
+}
+
+/// Lehmer's single-precision word width: leading parts and cofactors stay
+/// below 2^62, so every sum and product of Algorithm L fits in an int64.
+constexpr unsigned kLehmerBits = 62;
+
+/// floor(|x| / 2^shift) for a result known to be below 2^64.
+Limb bits_from(Span x, std::size_t shift) noexcept {
+  const std::size_t index = shift / kLimbBits;
+  const unsigned offset = static_cast<unsigned>(shift % kLimbBits);
+  if (index >= x.size()) return 0;
+  Limb val = x[index] >> offset;
+  if (offset != 0 && index + 1 < x.size()) {
+    val |= x[index + 1] << (kLimbBits - offset);
+  }
+  return val;
+}
+
+/// out = a * u + b * v over u's width (v no wider than u), for cofactors
+/// of opposite sign (or zero) whose combination is known to be
+/// non-negative, as Algorithm L's are.  Each step's sum stays below 2^127
+/// in magnitude.  `out` must not be either operand's storage.
+void combine(Span u, std::int64_t a, Span v, std::int64_t b,
+             std::vector<Limb>& out) {
+  out.resize(u.size());
+  __int128 carry = 0;
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    __int128 total = static_cast<__int128>(a) * u[i] + carry;
+    if (i < v.size()) total += static_cast<__int128>(b) * v[i];
+    out[i] = static_cast<Limb>(total);
+    carry = total >> kLimbBits;  // arithmetic shift: a signed borrow
+  }
+  trim(out);
+}
+
 }  // namespace
 
 BigInt::BigInt(std::int64_t value) {
@@ -29,11 +282,10 @@ BigInt::BigInt(std::int64_t value) {
     small_ = value;
     return;
   }
-  is_small_ = false;
-  sign_ = value < 0 ? -1 : 1;
   // Avoid UB on INT64_MIN: negate in unsigned space.
-  assign_magnitude(value < 0 ? ~static_cast<std::uint64_t>(value) + 1ULL
-                             : static_cast<std::uint64_t>(value));
+  assign(value < 0 ? ~static_cast<std::uint64_t>(value) + 1ULL
+                   : static_cast<std::uint64_t>(value),
+         value < 0 ? -1 : 1);
 }
 
 BigInt::BigInt(std::uint64_t value) {
@@ -41,18 +293,38 @@ BigInt::BigInt(std::uint64_t value) {
     small_ = static_cast<std::int64_t>(value);
     return;
   }
-  is_small_ = false;
-  sign_ = 1;
-  assign_magnitude(value);
+  assign(value, 1);
 }
 
-void BigInt::assign_magnitude(unsigned __int128 magnitude) {
-  LimbArena::local().acquire(limbs_);
-  limbs_.clear();
-  while (magnitude != 0) {
-    limbs_.push_back(static_cast<Limb>(magnitude & 0xffffffffULL));
-    magnitude >>= kLimbBits;
+std::span<const Limb> BigInt::magnitude(const BigInt& x, Limb& word) noexcept {
+  if (!x.is_small_) return x.limbs_;
+  word = x.small_magnitude();
+  return Span(&word, word != 0 ? 1 : 0);
+}
+
+void BigInt::assign(std::span<const Limb> magnitude, int sign) {
+  if (magnitude.empty() ||
+      (magnitude.size() == 1 &&
+       magnitude[0] < static_cast<std::uint64_t>(kSmallLimit))) {
+    const std::int64_t value =
+        magnitude.empty() ? 0 : static_cast<std::int64_t>(magnitude[0]);
+    small_ = sign < 0 ? -value : value;
+    is_small_ = true;
+    sign_ = 0;
+    LimbArena::local().release(limbs_);
+    return;
   }
+  LimbArena::local().acquire(limbs_);
+  limbs_.assign(magnitude.begin(), magnitude.end());
+  small_ = 0;
+  sign_ = sign;
+  is_small_ = false;
+}
+
+void BigInt::assign(unsigned __int128 magnitude, int sign) {
+  const Limb parts[2] = {static_cast<Limb>(magnitude),
+                         static_cast<Limb>(magnitude >> kLimbBits)};
+  assign(trimmed(parts), sign);
 }
 
 BigInt BigInt::from_string(std::string_view text) {
@@ -82,7 +354,6 @@ BigInt BigInt::from_string(std::string_view text) {
     pos += take;
   }
   if (negative) result.negate();
-  result.normalize();
   return result;
 }
 
@@ -90,325 +361,14 @@ std::size_t BigInt::bit_length() const noexcept {
   if (is_small_) {
     return static_cast<std::size_t>(std::bit_width(small_magnitude()));
   }
-  if (limbs_.empty()) return 0;
-  const Limb top = limbs_.back();
-  const unsigned top_bits = kLimbBits - static_cast<unsigned>(std::countl_zero(top));
-  return (limbs_.size() - 1) * kLimbBits + top_bits;
-}
-
-std::size_t BigInt::limb_count() const noexcept {
-  if (!is_small_) return limbs_.size();
-  const std::uint64_t mag = small_magnitude();
-  if (mag == 0) return 0;
-  return (mag >> kLimbBits) != 0 ? 2 : 1;
+  return (limbs_.size() - 1) * kLimbBits +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 BigInt BigInt::abs() const {
   BigInt result = *this;
   if (result.is_negative()) result.negate();
   return result;
-}
-
-void BigInt::trim(std::vector<Limb>& limbs) noexcept {
-  while (!limbs.empty() && limbs.back() == 0) limbs.pop_back();
-}
-
-void BigInt::normalize() noexcept {
-  if (is_small_) return;
-  trim(limbs_);
-  if (limbs_.empty()) {
-    is_small_ = true;
-    small_ = 0;
-    sign_ = 0;
-    LimbArena::local().release(limbs_);
-    return;
-  }
-  if (limbs_.size() <= 2) {
-    const std::uint64_t mag =
-        limbs_.size() == 2
-            ? (static_cast<std::uint64_t>(limbs_[1]) << kLimbBits) | limbs_[0]
-            : limbs_[0];
-    if (mag < static_cast<std::uint64_t>(kSmallLimit)) {
-      small_ = sign_ < 0 ? -static_cast<std::int64_t>(mag)
-                         : static_cast<std::int64_t>(mag);
-      is_small_ = true;
-      sign_ = 0;
-      LimbArena::local().release(limbs_);
-    }
-  }
-}
-
-void BigInt::promote() {
-  if (!is_small_) return;
-  is_small_ = false;
-  sign_ = (small_ > 0) - (small_ < 0);
-  const std::uint64_t mag = small_magnitude();
-  small_ = 0;
-  assign_magnitude(mag);
-}
-
-const BigInt& BigInt::promoted(const BigInt& x, BigInt& scratch) {
-  if (!x.is_small_) return x;
-  scratch = x;
-  scratch.promote();
-  return scratch;
-}
-
-int BigInt::compare_magnitude(const std::vector<Limb>& a,
-                              const std::vector<Limb>& b) noexcept {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = a.size(); i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
-std::vector<BigInt::Limb> BigInt::add_magnitude(const std::vector<Limb>& a,
-                                                const std::vector<Limb>& b) {
-  const std::vector<Limb>& lo = a.size() <= b.size() ? a : b;
-  const std::vector<Limb>& hi = a.size() <= b.size() ? b : a;
-  std::vector<Limb> sum;
-  sum.reserve(hi.size() + 1);
-  DoubleLimb carry = 0;
-  for (std::size_t i = 0; i < hi.size(); ++i) {
-    DoubleLimb total = carry + hi[i];
-    if (i < lo.size()) total += lo[i];
-    sum.push_back(static_cast<Limb>(total & 0xffffffffULL));
-    carry = total >> kLimbBits;
-  }
-  if (carry != 0) sum.push_back(static_cast<Limb>(carry));
-  return sum;
-}
-
-std::vector<BigInt::Limb> BigInt::sub_magnitude(const std::vector<Limb>& a,
-                                                const std::vector<Limb>& b) {
-  std::vector<Limb> diff;
-  diff.reserve(a.size());
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t total = static_cast<std::int64_t>(a[i]) - borrow -
-                         (i < b.size() ? static_cast<std::int64_t>(b[i]) : 0);
-    if (total < 0) {
-      total += static_cast<std::int64_t>(1) << kLimbBits;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    diff.push_back(static_cast<Limb>(total));
-  }
-  trim(diff);
-  return diff;
-}
-
-std::vector<BigInt::Limb> BigInt::mul_schoolbook(const std::vector<Limb>& a,
-                                                 const std::vector<Limb>& b) {
-  if (a.empty() || b.empty()) return {};
-  std::vector<Limb> product(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    DoubleLimb carry = 0;
-    const DoubleLimb ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      DoubleLimb total = product[i + j] + ai * b[j] + carry;
-      product[i + j] = static_cast<Limb>(total & 0xffffffffULL);
-      carry = total >> kLimbBits;
-    }
-    std::size_t k = i + b.size();
-    while (carry != 0) {
-      DoubleLimb total = product[k] + carry;
-      product[k] = static_cast<Limb>(total & 0xffffffffULL);
-      carry = total >> kLimbBits;
-      ++k;
-    }
-  }
-  trim(product);
-  return product;
-}
-
-std::vector<BigInt::Limb> BigInt::mul_karatsuba(const std::vector<Limb>& a,
-                                                const std::vector<Limb>& b) {
-  if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    return mul_schoolbook(a, b);
-  }
-  const std::size_t half = std::max(a.size(), b.size()) / 2;
-  auto lower = [&](const std::vector<Limb>& v) {
-    std::vector<Limb> part(v.begin(),
-                           v.begin() + static_cast<std::ptrdiff_t>(
-                                           std::min(half, v.size())));
-    trim(part);
-    return part;
-  };
-  auto upper = [&](const std::vector<Limb>& v) {
-    if (v.size() <= half) return std::vector<Limb>{};
-    std::vector<Limb> part(v.begin() + static_cast<std::ptrdiff_t>(half),
-                           v.end());
-    trim(part);
-    return part;
-  };
-  const std::vector<Limb> a0 = lower(a);
-  const std::vector<Limb> a1 = upper(a);
-  const std::vector<Limb> b0 = lower(b);
-  const std::vector<Limb> b1 = upper(b);
-
-  std::vector<Limb> z0 = mul_karatsuba(a0, b0);
-  std::vector<Limb> z2 = mul_karatsuba(a1, b1);
-  std::vector<Limb> sa = add_magnitude(a0, a1);
-  std::vector<Limb> sb = add_magnitude(b0, b1);
-  std::vector<Limb> z1 = mul_karatsuba(sa, sb);
-  z1 = sub_magnitude(z1, z0);
-  z1 = sub_magnitude(z1, z2);
-
-  // result = z0 + z1 << (32*half) + z2 << (64*half)
-  std::vector<Limb> result(z0);
-  auto add_shifted = [&](const std::vector<Limb>& part, std::size_t shift) {
-    if (part.empty()) return;
-    if (result.size() < part.size() + shift) {
-      result.resize(part.size() + shift, 0);
-    }
-    DoubleLimb carry = 0;
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      DoubleLimb total = static_cast<DoubleLimb>(result[i + shift]) + part[i] + carry;
-      result[i + shift] = static_cast<Limb>(total & 0xffffffffULL);
-      carry = total >> kLimbBits;
-    }
-    std::size_t k = part.size() + shift;
-    while (carry != 0) {
-      if (k == result.size()) result.push_back(0);
-      DoubleLimb total = static_cast<DoubleLimb>(result[k]) + carry;
-      result[k] = static_cast<Limb>(total & 0xffffffffULL);
-      carry = total >> kLimbBits;
-      ++k;
-    }
-  };
-  add_shifted(z1, half);
-  add_shifted(z2, 2 * half);
-  trim(result);
-  return result;
-}
-
-std::vector<BigInt::Limb> BigInt::mul_magnitude(const std::vector<Limb>& a,
-                                                const std::vector<Limb>& b) {
-  if (a.size() >= kKaratsubaThreshold && b.size() >= kKaratsubaThreshold) {
-    return mul_karatsuba(a, b);
-  }
-  return mul_schoolbook(a, b);
-}
-
-// Knuth TAOCP vol. 2, algorithm 4.3.1-D, specialized to 32-bit limbs with
-// 64-bit intermediate arithmetic.
-void BigInt::divmod_magnitude(const std::vector<Limb>& u_in,
-                              const std::vector<Limb>& v_in,
-                              std::vector<Limb>& quotient,
-                              std::vector<Limb>& remainder) {
-  DLSCHED_EXPECT(!v_in.empty(), "division by zero");
-  quotient.clear();
-  remainder.clear();
-  if (compare_magnitude(u_in, v_in) < 0) {
-    remainder = u_in;
-    trim(remainder);
-    return;
-  }
-  if (v_in.size() == 1) {
-    // Single-limb fast path.
-    const DoubleLimb divisor = v_in[0];
-    quotient.assign(u_in.size(), 0);
-    DoubleLimb rem = 0;
-    for (std::size_t i = u_in.size(); i-- > 0;) {
-      DoubleLimb cur = (rem << kLimbBits) | u_in[i];
-      quotient[i] = static_cast<Limb>(cur / divisor);
-      rem = cur % divisor;
-    }
-    trim(quotient);
-    if (rem != 0) remainder.push_back(static_cast<Limb>(rem));
-    return;
-  }
-
-  // D1: normalize so that the divisor's top limb has its high bit set.
-  const unsigned shift =
-      static_cast<unsigned>(std::countl_zero(v_in.back()));
-  const std::size_t n = v_in.size();
-  const std::size_t m = u_in.size() - n;
-
-  ArenaScratch v_scratch;
-  std::vector<Limb>& v = v_scratch.buf;
-  v.assign(n, 0);
-  for (std::size_t i = n; i-- > 0;) {
-    DoubleLimb val = static_cast<DoubleLimb>(v_in[i]) << shift;
-    if (shift != 0 && i > 0) val |= v_in[i - 1] >> (kLimbBits - shift);
-    v[i] = static_cast<Limb>(val & 0xffffffffULL);
-  }
-  ArenaScratch u_scratch;
-  std::vector<Limb>& u = u_scratch.buf;
-  u.assign(u_in.size() + 1, 0);
-  for (std::size_t i = u_in.size(); i-- > 0;) {
-    DoubleLimb val = static_cast<DoubleLimb>(u_in[i]) << shift;
-    if (shift != 0 && i > 0) val |= u_in[i - 1] >> (kLimbBits - shift);
-    u[i] = static_cast<Limb>(val & 0xffffffffULL);
-  }
-  if (shift != 0) {
-    u[u_in.size()] =
-        static_cast<Limb>(u_in.back() >> (kLimbBits - shift));
-  }
-
-  quotient.assign(m + 1, 0);
-  const DoubleLimb base = DoubleLimb{1} << kLimbBits;
-  // D2..D7: main loop over quotient digits, most significant first.
-  for (std::size_t j = m + 1; j-- > 0;) {
-    // D3: estimate q_hat from the top two limbs of the current remainder.
-    DoubleLimb numerator = (static_cast<DoubleLimb>(u[j + n]) << kLimbBits) | u[j + n - 1];
-    DoubleLimb q_hat = numerator / v[n - 1];
-    DoubleLimb r_hat = numerator % v[n - 1];
-    while (q_hat >= base ||
-           q_hat * v[n - 2] > ((r_hat << kLimbBits) | u[j + n - 2])) {
-      --q_hat;
-      r_hat += v[n - 1];
-      if (r_hat >= base) break;
-    }
-    // D4: multiply and subtract u[j..j+n] -= q_hat * v.
-    std::int64_t borrow = 0;
-    DoubleLimb carry = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      DoubleLimb product = q_hat * v[i] + carry;
-      carry = product >> kLimbBits;
-      std::int64_t diff = static_cast<std::int64_t>(u[i + j]) -
-                          static_cast<std::int64_t>(product & 0xffffffffULL) -
-                          borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(base);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u[i + j] = static_cast<Limb>(diff);
-    }
-    std::int64_t top = static_cast<std::int64_t>(u[j + n]) -
-                       static_cast<std::int64_t>(carry) - borrow;
-    // D5/D6: if the subtraction went negative the estimate was one too big;
-    // add the divisor back.
-    if (top < 0) {
-      --q_hat;
-      DoubleLimb add_carry = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        DoubleLimb total = static_cast<DoubleLimb>(u[i + j]) + v[i] + add_carry;
-        u[i + j] = static_cast<Limb>(total & 0xffffffffULL);
-        add_carry = total >> kLimbBits;
-      }
-      top += static_cast<std::int64_t>(add_carry);
-    }
-    u[j + n] = static_cast<Limb>(top);
-    quotient[j] = static_cast<Limb>(q_hat);
-  }
-
-  // D8: denormalize the remainder.
-  remainder.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    DoubleLimb val = u[i] >> shift;
-    if (shift != 0 && i + 1 < u.size()) {
-      val |= static_cast<DoubleLimb>(u[i + 1]) << (kLimbBits - shift);
-    }
-    remainder[i] = static_cast<Limb>(val & 0xffffffffULL);
-  }
-  trim(quotient);
-  trim(remainder);
 }
 
 BigInt& BigInt::operator+=(const BigInt& rhs) {
@@ -422,33 +382,12 @@ BigInt& BigInt::operator+=(const BigInt& rhs) {
     }
     return *this;
   }
-  BigInt scratch;
-  const BigInt& r = promoted(rhs, scratch);
-  promote();
-  if (r.sign_ == 0) {
-    normalize();
-    return *this;
-  }
-  if (sign_ == 0) {
-    *this = r;
-    normalize();
-    return *this;
-  }
-  if (sign_ == r.sign_) {
-    limbs_ = add_magnitude(limbs_, r.limbs_);
-  } else {
-    const int cmp = compare_magnitude(limbs_, r.limbs_);
-    if (cmp == 0) {
-      limbs_.clear();
-      sign_ = 0;
-    } else if (cmp > 0) {
-      limbs_ = sub_magnitude(limbs_, r.limbs_);
-    } else {
-      limbs_ = sub_magnitude(r.limbs_, limbs_);
-      sign_ = r.sign_;
-    }
-  }
-  normalize();
+  Limb lw = 0;
+  Limb rw = 0;
+  std::vector<Limb>& out = workspace().x;
+  const int sign = signed_sum(magnitude(*this, lw), this->sign(),
+                              magnitude(rhs, rw), rhs.sign(), out);
+  assign(out, sign);
   return *this;
 }
 
@@ -462,9 +401,13 @@ BigInt& BigInt::operator-=(const BigInt& rhs) {
     }
     return *this;
   }
-  BigInt negated = rhs;
-  negated.negate();
-  return *this += negated;
+  Limb lw = 0;
+  Limb rw = 0;
+  std::vector<Limb>& out = workspace().x;
+  const int sign = signed_sum(magnitude(*this, lw), this->sign(),
+                              magnitude(rhs, rw), -rhs.sign(), out);
+  assign(out, sign);
+  return *this;
 }
 
 BigInt& BigInt::operator*=(const BigInt& rhs) {
@@ -478,26 +421,17 @@ BigInt& BigInt::operator*=(const BigInt& rhs) {
     }
     // Inline overflow: |a|, |b| < 2^62 keeps |a*b| under 124 bits, so the
     // limb form can be assembled directly from a 128-bit product.
-    const bool negative = (small_ < 0) != (rhs.small_ < 0);
-    const unsigned __int128 mag =
-        static_cast<unsigned __int128>(small_magnitude()) *
-        rhs.small_magnitude();
-    is_small_ = false;
-    small_ = 0;
-    sign_ = negative ? -1 : 1;
-    assign_magnitude(mag);
-    return *this;  // the product is >= 2^62 by construction: canonical
-  }
-  if (is_zero() || rhs.is_zero()) {
-    *this = BigInt();
+    const int sign = (small_ < 0) != (rhs.small_ < 0) ? -1 : 1;
+    assign(static_cast<unsigned __int128>(small_magnitude()) *
+               rhs.small_magnitude(),
+           sign);
     return *this;
   }
-  BigInt scratch;
-  const BigInt& r = promoted(rhs, scratch);
-  promote();
-  limbs_ = mul_magnitude(limbs_, r.limbs_);
-  sign_ = sign_ * r.sign_;
-  normalize();
+  Limb lw = 0;
+  Limb rw = 0;
+  std::vector<Limb>& out = workspace().x;
+  mul_magnitude(magnitude(*this, lw), magnitude(rhs, rw), out);
+  assign(out, sign() * rhs.sign());
   return *this;
 }
 
@@ -515,38 +449,47 @@ void BigInt::divmod(const BigInt& numerator, const BigInt& denominator,
   }
   const int num_sign = numerator.sign();
   const int den_sign = denominator.sign();
-  BigInt scratch_n;
-  BigInt scratch_d;
-  const BigInt& n = promoted(numerator, scratch_n);
-  const BigInt& d = promoted(denominator, scratch_d);
-  std::vector<Limb> q;
-  std::vector<Limb> r;
-  divmod_magnitude(n.limbs_, d.limbs_, q, r);
-  quotient = BigInt();
-  quotient.is_small_ = false;
-  quotient.limbs_ = std::move(q);
-  quotient.sign_ = quotient.limbs_.empty() ? 0 : num_sign * den_sign;
-  quotient.normalize();
-  remainder = BigInt();
-  remainder.is_small_ = false;
-  remainder.limbs_ = std::move(r);
-  remainder.sign_ = remainder.limbs_.empty() ? 0 : num_sign;
-  remainder.normalize();
+  Limb nw = 0;
+  Limb dw = 0;
+  Workspace& ws = workspace();
+  divmod_span(magnitude(numerator, nw), magnitude(denominator, dw), ws.x,
+              ws.y);
+  quotient.assign(ws.x, num_sign * den_sign);
+  remainder.assign(ws.y, num_sign);
+}
+
+void BigInt::fraction_free_update(BigInt& cell, const BigInt& p,
+                                  const BigInt& f, const BigInt& g,
+                                  const BigInt& den) {
+  DLSCHED_EXPECT(!den.is_zero(), "BigInt division by zero");
+  Workspace& ws = workspace();
+  Limb cw = 0;
+  Limb pw = 0;
+  Limb fw = 0;
+  Limb gw = 0;
+  Limb dw = 0;
+  mul_magnitude(magnitude(cell, cw), magnitude(p, pw), ws.x);
+  mul_magnitude(magnitude(f, fw), magnitude(g, gw), ws.y);
+  const int sign = signed_sum(ws.x, cell.sign() * p.sign(), ws.y,
+                              -(f.sign() * g.sign()), ws.z);
+  if (den.is_one()) {
+    cell.assign(ws.z, sign);
+    return;
+  }
+  divmod_span(ws.z, magnitude(den, dw), ws.x, ws.y);
+  DLSCHED_EXPECT(ws.y.empty(), "bareiss: fraction-free division not exact");
+  cell.assign(ws.x, sign * den.sign());
 }
 
 BigInt& BigInt::operator/=(const BigInt& rhs) {
-  BigInt quotient;
   BigInt remainder;
-  divmod(*this, rhs, quotient, remainder);
-  *this = std::move(quotient);
+  divmod(*this, rhs, *this, remainder);
   return *this;
 }
 
 BigInt& BigInt::operator%=(const BigInt& rhs) {
   BigInt quotient;
-  BigInt remainder;
-  divmod(*this, rhs, quotient, remainder);
-  *this = std::move(remainder);
+  divmod(*this, rhs, quotient, *this);
   return *this;
 }
 
@@ -554,26 +497,27 @@ BigInt& BigInt::operator<<=(std::size_t bits) {
   if (is_zero() || bits == 0) return *this;
   if (is_small_) {
     const std::uint64_t mag = small_magnitude();
-    const std::size_t width =
-        static_cast<std::size_t>(std::bit_width(mag));
+    const std::size_t width = static_cast<std::size_t>(std::bit_width(mag));
     if (bits <= 62 && width + bits <= 62) {
       const std::uint64_t shifted = mag << bits;
       small_ = small_ < 0 ? -static_cast<std::int64_t>(shifted)
                           : static_cast<std::int64_t>(shifted);
       return *this;
     }
-    promote();
   }
+  Limb word = 0;
+  const Span mag = magnitude(*this, word);
   const std::size_t limb_shift = bits / kLimbBits;
   const unsigned bit_shift = static_cast<unsigned>(bits % kLimbBits);
-  std::vector<Limb> shifted(limbs_.size() + limb_shift + 1, 0);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const DoubleLimb val = static_cast<DoubleLimb>(limbs_[i]) << bit_shift;
-    shifted[i + limb_shift] |= static_cast<Limb>(val & 0xffffffffULL);
-    shifted[i + limb_shift + 1] |= static_cast<Limb>(val >> kLimbBits);
+  std::vector<Limb>& out = workspace().x;
+  out.assign(mag.size() + limb_shift + 1, 0);
+  for (std::size_t i = 0; i < mag.size(); ++i) {
+    const Wide val = static_cast<Wide>(mag[i]) << bit_shift;
+    out[i + limb_shift] |= static_cast<Limb>(val);
+    out[i + limb_shift + 1] |= static_cast<Limb>(val >> kLimbBits);
   }
-  limbs_ = std::move(shifted);
-  normalize();
+  trim(out);
+  assign(out, sign());
   return *this;
 }
 
@@ -588,22 +532,18 @@ BigInt& BigInt::operator>>=(std::size_t bits) {
     return *this;
   }
   const std::size_t limb_shift = bits / kLimbBits;
-  if (limb_shift >= limbs_.size()) {
-    *this = BigInt();
-    return *this;
-  }
   const unsigned bit_shift = static_cast<unsigned>(bits % kLimbBits);
-  std::vector<Limb> shifted(limbs_.size() - limb_shift, 0);
-  for (std::size_t i = 0; i < shifted.size(); ++i) {
-    DoubleLimb val = limbs_[i + limb_shift] >> bit_shift;
+  std::vector<Limb>& out = workspace().x;
+  out.assign(limbs_.size() > limb_shift ? limbs_.size() - limb_shift : 0, 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Limb val = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      val |= static_cast<DoubleLimb>(limbs_[i + limb_shift + 1])
-             << (kLimbBits - bit_shift);
+      val |= limbs_[i + limb_shift + 1] << (kLimbBits - bit_shift);
     }
-    shifted[i] = static_cast<Limb>(val & 0xffffffffULL);
+    out[i] = val;
   }
-  limbs_ = std::move(shifted);
-  normalize();
+  trim(out);
+  assign(out, sign_);
   return *this;
 }
 
@@ -630,33 +570,77 @@ int BigInt::compare(const BigInt& rhs) const noexcept {
   return ls > 0 ? mag : -mag;
 }
 
-BigInt BigInt::gcd(BigInt a, BigInt b) {
-  while (true) {
-    if (a.is_small_ && b.is_small_) {
-      // Single-word binary (Stein) gcd: shifts and subtractions only, no
-      // division -- this is the hot path of every Rational reduction.
-      std::uint64_t x = a.small_magnitude();
-      std::uint64_t y = b.small_magnitude();
-      if (x == 0) return BigInt(y);
-      if (y == 0) return BigInt(x);
-      const int common_twos = std::countr_zero(x | y);
-      x >>= std::countr_zero(x);
-      do {
-        y >>= std::countr_zero(y);
-        if (x > y) std::swap(x, y);
-        y -= x;
-      } while (y != 0);
-      return BigInt(x << common_twos);
-    }
-    if (b.is_zero()) break;
-    BigInt quotient;
-    BigInt remainder;
-    divmod(a, b, quotient, remainder);
-    a = std::move(b);
-    b = std::move(remainder);
+// Lehmer's algorithm (Knuth TAOCP vol. 2, 4.5.2, Algorithm L).  While the
+// smaller operand v has two or more limbs, the leading 62 bits of u and the
+// same bits of v drive single-precision Euclid steps for as long as the
+// quotient is certain, and one multi-precision step then applies all of
+// them at once: (u, v) <- (A u + B v, C u + D v).  When no quotient is
+// certain, a Knuth-D division step runs instead.  The tail, with v down
+// to one limb, is one single-limb remainder and the binary gcd.
+BigInt BigInt::gcd(const BigInt& a, const BigInt& b) {
+  if (a.is_small_ && b.is_small_) {
+    // The hot path of every Rational reduction: no division at all.
+    return BigInt(binary_gcd(a.small_magnitude(), b.small_magnitude()));
   }
-  if (a.is_negative()) a.negate();
-  return a;
+  Workspace& ws = workspace();
+  Limb aw = 0;
+  Limb bw = 0;
+  Span am = magnitude(a, aw);
+  Span bm = magnitude(b, bw);
+  if (compare_magnitude(am, bm) < 0) std::swap(am, bm);
+  std::vector<Limb>& u = ws.x;
+  std::vector<Limb>& v = ws.y;
+  u.assign(am.begin(), am.end());
+  v.assign(bm.begin(), bm.end());
+  while (v.size() >= 2) {
+    // L1: u >= v >= 2^64, so u has more than 62 bits.  ca, cb, cc, cd
+    // are Knuth's cofactors A, B, C, D.
+    const std::size_t shift = (u.size() - 1) * kLimbBits +
+                              std::bit_width(u.back()) - kLehmerBits;
+    auto uh = static_cast<std::int64_t>(bits_from(u, shift));
+    auto vh = static_cast<std::int64_t>(bits_from(v, shift));
+    std::int64_t ca = 1;
+    std::int64_t cb = 0;
+    std::int64_t cc = 0;
+    std::int64_t cd = 1;
+    // L2/L3: emulate Euclid on the leading parts while the quotient is
+    // the same at both ends of its uncertainty interval.
+    while (vh + cc != 0 && vh + cd != 0) {
+      const std::int64_t q = (uh + ca) / (vh + cc);
+      if (q != (uh + cb) / (vh + cd)) break;
+      std::int64_t t = ca - q * cc;
+      ca = cc;
+      cc = t;
+      t = cb - q * cd;
+      cb = cd;
+      cd = t;
+      t = uh - q * vh;
+      uh = vh;
+      vh = t;
+    }
+    // L4: one multi-precision step.
+    if (cb == 0) {
+      divmod_span(u, v, ws.z, ws.w);  // w = u mod v
+      std::swap(u, v);
+      std::swap(v, ws.w);
+    } else {
+      combine(u, ca, v, cb, ws.z);
+      combine(u, cc, v, cd, ws.w);
+      std::swap(u, ws.z);
+      std::swap(v, ws.w);
+    }
+  }
+  BigInt result;
+  if (v.empty()) {
+    result.assign(u, 1);
+    return result;
+  }
+  Limb rem = 0;
+  for (std::size_t i = u.size(); i-- > 0;) {
+    rem = static_cast<Limb>(((static_cast<Wide>(rem) << kLimbBits) | u[i]) %
+                            v[0]);
+  }
+  return BigInt(binary_gcd(v[0], rem));
 }
 
 BigInt BigInt::pow(std::uint64_t exponent) const {
@@ -674,63 +658,61 @@ BigInt BigInt::pow(std::uint64_t exponent) const {
 
 std::string BigInt::to_string() const {
   if (is_small_) return std::to_string(small_);
-  if (sign_ == 0) return "0";
-  // Peel 9 decimal digits at a time via single-limb division by 10^9.
-  std::vector<Limb> digits_chunks;
+  // Peel 18 decimal digits at a time via single-limb division by 10^18.
+  constexpr Limb kChunk = 1000000000000000000ULL;
+  constexpr std::size_t kChunkDigits = 18;
+  std::vector<Limb> chunks;
   std::vector<Limb> value = limbs_;
-  const DoubleLimb chunk = 1000000000ULL;
   while (!value.empty()) {
-    DoubleLimb rem = 0;
+    Limb rem = 0;
     for (std::size_t i = value.size(); i-- > 0;) {
-      DoubleLimb cur = (rem << kLimbBits) | value[i];
-      value[i] = static_cast<Limb>(cur / chunk);
-      rem = cur % chunk;
+      const Wide cur = (static_cast<Wide>(rem) << kLimbBits) | value[i];
+      value[i] = static_cast<Limb>(cur / kChunk);
+      rem = static_cast<Limb>(cur % kChunk);
     }
     trim(value);
-    digits_chunks.push_back(static_cast<Limb>(rem));
+    chunks.push_back(rem);
   }
   std::string text = sign_ < 0 ? "-" : "";
-  text += std::to_string(digits_chunks.back());
-  for (std::size_t i = digits_chunks.size() - 1; i-- > 0;) {
-    std::string part = std::to_string(digits_chunks[i]);
-    text += std::string(9 - part.size(), '0') + part;
+  text += std::to_string(chunks.back());
+  for (std::size_t i = chunks.size() - 1; i-- > 0;) {
+    const std::string part = std::to_string(chunks[i]);
+    text += std::string(kChunkDigits - part.size(), '0') + part;
   }
   return text;
 }
 
 double BigInt::to_double() const noexcept {
   if (is_small_) return static_cast<double>(small_);
-  if (sign_ == 0) return 0.0;
+  // The top four 32-bit digits, most significant first, rounding after
+  // each step (see the file comment of bigint.hpp).
+  constexpr unsigned kDigitBits = 32;
+  const std::size_t digits =
+      2 * limbs_.size() - ((limbs_.back() >> kDigitBits) == 0 ? 1 : 0);
+  const std::size_t start = digits > 4 ? digits - 4 : 0;
   double value = 0.0;
-  // Only the top ~2 limbs contribute to a double's mantissa, but summing all
-  // limbs with ldexp is simple and exact up to rounding.
-  const std::size_t start = limbs_.size() > 4 ? limbs_.size() - 4 : 0;
-  for (std::size_t i = limbs_.size(); i-- > start;) {
-    value = value * 4294967296.0 + static_cast<double>(limbs_[i]);
+  for (std::size_t i = digits; i-- > start;) {
+    const auto digit =
+        static_cast<std::uint32_t>(limbs_[i / 2] >> (kDigitBits * (i % 2)));
+    value = value * 4294967296.0 + static_cast<double>(digit);
   }
-  value = std::ldexp(value, static_cast<int>(start * kLimbBits));
+  value = std::ldexp(value, static_cast<int>(start * kDigitBits));
   return sign_ < 0 ? -value : value;
 }
 
 bool BigInt::fits_int64() const noexcept {
   if (is_small_) return true;
-  if (limbs_.size() < 2) return true;
-  if (limbs_.size() > 2) return false;
-  const std::uint64_t mag =
-      (static_cast<std::uint64_t>(limbs_[1]) << kLimbBits) | limbs_[0];
-  if (sign_ > 0) return mag <= static_cast<std::uint64_t>(INT64_MAX);
-  return mag <= static_cast<std::uint64_t>(INT64_MAX) + 1ULL;
+  if (limbs_.size() > 1) return false;
+  const std::uint64_t limit = static_cast<std::uint64_t>(INT64_MAX);
+  return limbs_[0] <= (sign_ > 0 ? limit : limit + 1ULL);
 }
 
 std::int64_t BigInt::to_int64() const {
   if (is_small_) return small_;
   DLSCHED_EXPECT(fits_int64(), "BigInt does not fit in int64");
-  std::uint64_t mag = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    mag = (mag << kLimbBits) | limbs_[i];
-  }
-  // Negate in unsigned space: mag may be 2^63 (INT64_MIN), whose signed
-  // negation would overflow.
+  // Negate in unsigned space: the magnitude may be 2^63 (INT64_MIN), whose
+  // signed negation would overflow.
+  const std::uint64_t mag = limbs_[0];
   if (sign_ < 0) return static_cast<std::int64_t>(~mag + 1ULL);
   return static_cast<std::int64_t>(mag);
 }

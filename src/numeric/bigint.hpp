@@ -8,22 +8,40 @@
 //
 // Representation: a value v with |v| < 2^62 lives inline in a single
 // machine word (`small_`) and its arithmetic never touches the heap;
-// anything larger falls back to a sign-magnitude vector of base-2^32 limbs.
-// Add/sub/mul on the inline form are overflow-checked and promote to the
-// limb form exactly at the boundary.  LP pivots over platform parameters
-// lifted from doubles keep most intermediate values under 62 bits, so the
-// common case allocates nothing.
+// anything larger falls back to a sign-magnitude vector of base-2^64 limbs,
+// with products and carries in `unsigned __int128`.  Add/sub/mul on the
+// inline form are overflow-checked and promote to the limb form exactly at
+// the boundary.
 //
 // Representation invariants:
 //   * is_small_  => |small_| < 2^62 and limbs_ is empty;
 //   * !is_small_ => |value| >= 2^62, limbs_ is little-endian with no
-//     trailing zero limb, and sign_ is -1 or +1.
+//     trailing zero limb (one limb when 2^62 <= |value| < 2^64), and
+//     sign_ is -1 or +1.
 // The second invariant (the limb form never holds a small value) is what
 // lets compare() decide mixed-representation orderings without promoting.
+//
+// Every multi-limb operation runs on spans of limbs (an inline operand is
+// read as a one-limb span of its magnitude) through one schoolbook
+// multiply and one Knuth algorithm D, and computes into per-thread scratch
+// buffers that keep their capacity; only the final copy into the result's
+// own storage can allocate.  Two entry points serve the exact simplex:
+//   * fraction_free_update() sets cell = (cell * p - f * g) / den in one
+//     call, the Bareiss pivot identity, and throws when the division is not
+//     exact;
+//   * gcd() runs Lehmer's algorithm (Knuth TAOCP 4.5.2, Algorithm L) on
+//     62-bit leading parts while both operands are multi-limb, and finishes
+//     in a single-word binary gcd.
+//
+// to_double() rounds exactly as the earlier base-2^32 form did: it sums
+// the top four 32-bit digits one at a time, each 64-bit limb read as its
+// two halves.  Answer digests hash these doubles, so this rule is part of
+// the output, not an implementation detail.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,9 +89,6 @@ class BigInt {
 
   /// Number of significant bits of |*this| (0 for zero).
   [[nodiscard]] std::size_t bit_length() const noexcept;
-  /// Number of 32-bit limbs |*this| occupies (a derived quantity for the
-  /// inline representation; exposed for benchmarks).
-  [[nodiscard]] std::size_t limb_count() const noexcept;
 
   [[nodiscard]] BigInt abs() const;
   void negate() noexcept {
@@ -131,8 +146,18 @@ class BigInt {
     return a.compare(b) >= 0;
   }
 
+  /// cell = (cell * p - f * g) / den, the fraction-free (Bareiss) pivot
+  /// update, computed without a heap allocation once the calling thread's
+  /// scratch has grown; the result goes into `cell`'s own limb storage (a
+  /// cell growing out of the inline word takes a pooled arena buffer).
+  /// Throws dlsched::Error when den is zero or the division leaves a
+  /// remainder.  Any argument may alias any other.
+  static void fraction_free_update(BigInt& cell, const BigInt& p,
+                                   const BigInt& f, const BigInt& g,
+                                   const BigInt& den);
+
   /// Greatest common divisor (always non-negative).
-  static BigInt gcd(BigInt a, BigInt b);
+  static BigInt gcd(const BigInt& a, const BigInt& b);
 
   /// |*this| ^ exponent (exponent >= 0).
   [[nodiscard]] BigInt pow(std::uint64_t exponent) const;
@@ -140,8 +165,9 @@ class BigInt {
   /// Decimal rendering.
   [[nodiscard]] std::string to_string() const;
 
-  /// Nearest-double conversion (round-to-nearest on the top bits; may
-  /// overflow to +/-inf for astronomically large values).
+  /// Double conversion that rounds after each of the top four 32-bit
+  /// digits (see the file comment; not always the nearest double).  May
+  /// overflow to +/-inf for astronomically large values.
   [[nodiscard]] double to_double() const noexcept;
 
   /// Exact conversion to int64 if the value fits, otherwise throws.
@@ -152,46 +178,22 @@ class BigInt {
   friend std::ostream& operator<<(std::ostream& out, const BigInt& value);
 
  private:
-  using Limb = std::uint32_t;
-  using DoubleLimb = std::uint64_t;
-  static constexpr unsigned kLimbBits = 32;
+  using Limb = std::uint64_t;
   /// Inline representation bound: |small_| < 2^62, so a sum of two inline
   /// values always fits in the int64 word and overflow checks are cheap.
   static constexpr std::int64_t kSmallLimit = std::int64_t{1} << 62;
 
-  /// |a| vs |b|.
-  static int compare_magnitude(const std::vector<Limb>& a,
-                               const std::vector<Limb>& b) noexcept;
-  static std::vector<Limb> add_magnitude(const std::vector<Limb>& a,
-                                         const std::vector<Limb>& b);
-  /// Requires |a| >= |b|.
-  static std::vector<Limb> sub_magnitude(const std::vector<Limb>& a,
-                                         const std::vector<Limb>& b);
-  static std::vector<Limb> mul_magnitude(const std::vector<Limb>& a,
-                                         const std::vector<Limb>& b);
-  static std::vector<Limb> mul_schoolbook(const std::vector<Limb>& a,
-                                          const std::vector<Limb>& b);
-  static std::vector<Limb> mul_karatsuba(const std::vector<Limb>& a,
-                                         const std::vector<Limb>& b);
-  /// Knuth algorithm D on magnitudes; u / v with v non-zero.
-  static void divmod_magnitude(const std::vector<Limb>& u,
-                               const std::vector<Limb>& v,
-                               std::vector<Limb>& quotient,
-                               std::vector<Limb>& remainder);
-  static void trim(std::vector<Limb>& limbs) noexcept;
-  /// Replaces `limbs_` with the little-endian limb form of `magnitude`
-  /// (the single point that assembles limbs from machine words; 128 bits
-  /// covers the widest case, the inline-multiply overflow path).
-  void assign_magnitude(unsigned __int128 magnitude);
-  /// Restores both invariants: trims the limb form and shrinks back to the
-  /// inline word whenever the magnitude fits.
-  void normalize() noexcept;
-  /// Converts the inline form to a (possibly sub-2^62) limb form in place;
-  /// only valid transiently inside an operation that re-normalizes.
-  void promote();
-  /// Returns `x` in limb form, using `scratch` as backing store when `x`
-  /// is inline.
-  static const BigInt& promoted(const BigInt& x, BigInt& scratch);
+  /// |x| as limbs: the limb vector, or `word` (set to the inline
+  /// magnitude) viewed as zero or one limb.
+  static std::span<const Limb> magnitude(const BigInt& x, Limb& word) noexcept;
+  /// Sets *this to sign * magnitude, restoring both invariants: a value
+  /// under 2^62 goes inline (the limb storage returns to the arena), a
+  /// larger one is copied into the existing limb storage.  `magnitude`
+  /// must be trimmed and must not point into limbs_.
+  void assign(std::span<const Limb> magnitude, int sign);
+  /// assign() for a magnitude of at most two limbs (the constructors and
+  /// the inline-multiply overflow path).
+  void assign(unsigned __int128 magnitude, int sign);
   [[nodiscard]] std::uint64_t small_magnitude() const noexcept {
     return small_ < 0 ? ~static_cast<std::uint64_t>(small_) + 1ULL
                       : static_cast<std::uint64_t>(small_);

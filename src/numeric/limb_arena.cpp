@@ -77,7 +77,7 @@ LimbArena::Stats LimbArena::aggregate() noexcept {
   return total;
 }
 
-void LimbArena::acquire(std::vector<std::uint32_t>& out) noexcept {
+void LimbArena::acquire(std::vector<std::uint64_t>& out) noexcept {
   if (out.capacity() != 0) return;
   bump(stats_.acquires);
   if (pool_.empty()) return;  // caller's vector grows on first push_back
@@ -87,7 +87,7 @@ void LimbArena::acquire(std::vector<std::uint32_t>& out) noexcept {
   out.clear();
 }
 
-void LimbArena::release(std::vector<std::uint32_t>& buffer) noexcept {
+void LimbArena::release(std::vector<std::uint64_t>& buffer) noexcept {
   if (buffer.capacity() == 0) return;
   if (pool_.size() < kMaxPooled && buffer.capacity() <= kMaxRetainedCapacity) {
     bump(stats_.releases);
@@ -95,7 +95,7 @@ void LimbArena::release(std::vector<std::uint32_t>& buffer) noexcept {
     pool_.push_back(std::move(buffer));
   }
   // Either way the caller's vector must end up storage-free.
-  std::vector<std::uint32_t>().swap(buffer);
+  std::vector<std::uint64_t>().swap(buffer);
 }
 
 LimbArena::Stats limb_arena_stats() noexcept {

@@ -1,13 +1,16 @@
-// Thread-local freelist of limb buffers for BigInt temporaries.
+// Thread-local freelist of limb buffers for BigInt values.
 //
-// The exact simplex promotes inline BigInts to the limb form and back
-// millions of times per solve; each promotion used to round-trip a
-// std::vector<uint32_t> through the heap.  The arena keeps a small pool of
-// capacity-retaining buffers per thread: BigInt acquires a pooled buffer
-// when it needs limb storage and releases the storage back when
-// normalize() shrinks the value into the inline word.  The pool is bounded
+// A BigInt whose magnitude reaches 2^62 keeps it in a vector of 64-bit
+// limbs; one that shrinks back into the inline word gives that vector up.
+// In the exact simplex values cross that line all the time, and each
+// crossing used to round-trip a vector through the heap.  The arena keeps
+// a small pool of capacity-retaining buffers per thread: BigInt acquires a
+// pooled buffer when a value needs limb storage and has none, and releases
+// the storage back when the value goes inline again.  The pool is bounded
 // (count and per-buffer capacity) so a burst of huge intermediates cannot
-// pin memory for the rest of the run.
+// pin memory for the rest of the run.  Temporaries never come from here:
+// BigInt computes in per-thread scratch (bigint.cpp) and copies only the
+// result into a value's own storage.
 //
 // Stats are cumulative per thread; the solver layer snapshots them around
 // a solve to report "allocations avoided" in the bench artifacts.  Within
@@ -58,11 +61,11 @@ class LimbArena {
 
   /// Gives `out` a pooled buffer (empty, capacity retained) when it has no
   /// capacity of its own.  No-op if `out` already owns storage.
-  void acquire(std::vector<std::uint32_t>& out) noexcept;
+  void acquire(std::vector<std::uint64_t>& out) noexcept;
 
   /// Takes `buffer`'s storage into the pool (or frees it when the pool is
   /// full or the buffer is oversized).  `buffer` is left empty either way.
-  void release(std::vector<std::uint32_t>& buffer) noexcept;
+  void release(std::vector<std::uint64_t>& buffer) noexcept;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -70,10 +73,11 @@ class LimbArena {
   /// Bounded pool: enough for the simplex pivot working set, small enough
   /// to be irrelevant as a per-thread footprint.
   static constexpr std::size_t kMaxPooled = 64;
-  /// Buffers beyond this capacity (in limbs) are freed, not pooled.
-  static constexpr std::size_t kMaxRetainedCapacity = 1 << 12;
+  /// Buffers beyond this capacity (in 64-bit limbs, 16 KiB) are freed,
+  /// not pooled.
+  static constexpr std::size_t kMaxRetainedCapacity = 1 << 11;
 
-  std::vector<std::vector<std::uint32_t>> pool_;
+  std::vector<std::vector<std::uint64_t>> pool_;
   Stats stats_;
 };
 

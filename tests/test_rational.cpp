@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
 
 #include "numeric/rational.hpp"
@@ -110,6 +112,31 @@ TEST(Rational, FromDoubleRoundTripsThroughToDouble) {
 TEST(Rational, FromDoubleRejectsNonFinite) {
   EXPECT_THROW(Rational::from_double(std::nan("")), dlsched::Error);
   EXPECT_THROW(Rational::from_double(INFINITY), dlsched::Error);
+}
+
+TEST(Rational, ToDoubleOfHugeOperandsMatchesThePinnedBits) {
+  // Numerators and denominators past 2^1024 take to_double()'s shift
+  // branch; the bit patterns are pinned from the base-2^32 BigInt, and
+  // the answer digests hash these doubles.
+  auto pow2 = [](unsigned k) { return BigInt(1) << k; };
+  struct Pin {
+    Rational value;
+    std::uint64_t double_bits;
+  };
+  const Pin pins[] = {
+      {Rational(pow2(1100) + 1, pow2(1090) + 3), 0x4090000000000000ULL},
+      {Rational(BigInt(3).pow(700), pow2(1100) + 7), 0x4086382d2c2ff804ULL},
+      {Rational(-BigInt(7).pow(400), BigInt(3).pow(650)), 0xc5ba49c75a75ca23ULL},
+      {Rational(BigInt(5).pow(460) + 1, BigInt(5).pow(459)), 0x4014000000000000ULL},
+  };
+  for (const Pin& pin : pins) {
+    ASSERT_FALSE(std::isfinite(pin.value.num().to_double()) &&
+                 std::isfinite(pin.value.den().to_double()));
+    const double converted = pin.value.to_double();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &converted, sizeof bits);
+    EXPECT_EQ(bits, pin.double_bits) << pin.value;
+  }
 }
 
 TEST(Rational, FromStringForms) {
