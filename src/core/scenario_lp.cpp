@@ -1,6 +1,8 @@
 #include "core/scenario_lp.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 
 #include "util/error.hpp"
 
@@ -28,6 +30,93 @@ Positions index_positions(const StarPlatform& platform,
   return pos;
 }
 
+void check_latency_sizes(const StarPlatform& platform,
+                         const LpOptions& options) {
+  DLSCHED_EXPECT(options.send_latencies.empty() ||
+                     options.send_latencies.size() == platform.size(),
+                 "per-worker send latencies must be platform-indexed");
+  DLSCHED_EXPECT(options.return_latencies.empty() ||
+                     options.return_latencies.size() == platform.size(),
+                 "per-worker return latencies must be platform-indexed");
+}
+
+// ---------------------------------------------------------------------------
+// The double builder reproduces `build_scenario_lp(...).densify<double>()`
+// bit for bit.  `densify` rounds each exact Rational coefficient and
+// right-hand side with `Rational::to_double` and sums a row's duplicate
+// terms per column with double adds from 0.0.  The helpers below give the
+// same doubles without building the Rational model.
+
+/// `Rational::from_double(x).to_double()`: x itself while the reduced
+/// denominator is a finite double (at most 2^1023).  Below that
+/// `to_double` takes its scaled fallback, so such tiny constants (and
+/// zero, whose sign the Rational drops) go the exact way.
+double model_double(double x) {
+  const numeric::BinaryFraction fraction = numeric::binary_fraction(x);
+  if (fraction.odd != 0 && fraction.exponent >= -1023) return x;
+  return Rational::from_double(x).to_double();
+}
+
+/// `(Rational::from_double(a) + Rational::from_double(b)).to_double()`.
+/// The exact sum is a multiple of 2^lo below 2^(hi + 2), where lo and hi
+/// are the lowest and highest set bits of the operands, so its reduced
+/// numerator has at most hi + 2 - min(lo, 0) bits.  Up to 63 bits
+/// `to_double` rounds the numerator once, to nearest even, and divides by
+/// a power of two exactly: the rounding of the double add.  A wider
+/// numerator would be rounded digit by digit (see bigint.hpp), which can
+/// differ from a + b in the last place, so that sum is taken exactly.
+double model_sum(double a, double b) {
+  int lo = INT_MAX;
+  int hi = INT_MIN;
+  for (const double x : {a, b}) {
+    const numeric::BinaryFraction fraction = numeric::binary_fraction(x);
+    if (fraction.odd == 0) continue;
+    lo = std::min(lo, fraction.exponent);
+    const int width = static_cast<int>(std::bit_width(fraction.odd));
+    hi = std::max(hi, fraction.exponent + width - 1);
+  }
+  if (lo != INT_MAX && lo >= -1023 && hi + 2 - std::min(lo, 0) <= 63) {
+    return a + b;
+  }
+  return (Rational::from_double(a) + Rational::from_double(b)).to_double();
+}
+
+/// Right-hand sides `(1 - latency constants).to_double()` of the q chain
+/// rows (sigma_1 order) followed by the one-port row's.  The constants are
+/// exact prefix sums of the send latencies (sigma_1 order) and suffix sums
+/// of the return latencies (sigma_2 order); an exact sum does not depend
+/// on its order, so each matches the reference's per-row sum.
+std::vector<double> latency_rhs(const Scenario& scenario,
+                                const Positions& pos,
+                                const LpOptions& options) {
+  const std::size_t q = scenario.size();
+  std::vector<Rational> sent(q);      // sends up to sigma_1 position k
+  std::vector<Rational> returned(q);  // returns from sigma_2 position r on
+  Rational total;
+  for (std::size_t k = 0; k < q; ++k) {
+    total += Rational::from_double(
+        options.send_latency_for(scenario.send_order[k]));
+    sent[k] = total;
+  }
+  total = Rational();
+  for (std::size_t r = q; r-- > 0;) {
+    total += Rational::from_double(
+        options.return_latency_for(scenario.return_order[r]));
+    returned[r] = total;
+  }
+  const Rational compute = Rational::from_double(options.compute_latency);
+  std::vector<double> rhs(q + 1);
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::size_t worker = scenario.send_order[k];
+    rhs[k] = (Rational(1) - (sent[k] + compute +
+                             returned[pos.return_pos[worker]]))
+                 .to_double();
+  }
+  rhs[q] = q == 0 ? 1.0 : (Rational(1) - (sent[q - 1] + returned[0]))
+                              .to_double();
+  return rhs;
+}
+
 }  // namespace
 
 std::vector<std::size_t> warm_basis_for(
@@ -46,12 +135,7 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   scenario.check(platform);
   const std::size_t q = scenario.size();
   const Positions pos = index_positions(platform, scenario);
-  DLSCHED_EXPECT(options.send_latencies.empty() ||
-                     options.send_latencies.size() == platform.size(),
-                 "per-worker send latencies must be platform-indexed");
-  DLSCHED_EXPECT(options.return_latencies.empty() ||
-                     options.return_latencies.size() == platform.size(),
-                 "per-worker return latencies must be platform-indexed");
+  check_latency_sizes(platform, options);
   const Rational comp_lat = Rational::from_double(options.compute_latency);
   // Exact per-position latency constants in sigma_1 order (a latency, like
   // the linear coefficients, is paid by the *message*, so worker j's own
@@ -135,6 +219,54 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   return problem;
 }
 
+lp::DenseLp<double> build_scenario_lp_double(const StarPlatform& platform,
+                                             const Scenario& scenario,
+                                             const LpOptions& options) {
+  scenario.check(platform);
+  const std::size_t q = scenario.size();
+  const Positions pos = index_positions(platform, scenario);
+  check_latency_sizes(platform, options);
+
+  // Platform constants in sigma_1 order, as `densify` reads them back, and
+  // each position's rank in sigma_2.
+  std::vector<double> c(q), w(q), d(q), one_port(q);
+  std::vector<std::size_t> return_rank(q);
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::size_t id = scenario.send_order[k];
+    const Worker& worker = platform.worker(id);
+    c[k] = model_double(worker.c);
+    w[k] = model_double(worker.w);
+    d[k] = model_double(worker.d);
+    one_port[k] = model_sum(worker.c, worker.d);
+    return_rank[k] = pos.return_pos[id];
+  }
+  const std::vector<double> rhs =
+      options.is_affine() ? latency_rhs(scenario, pos, options)
+                          : std::vector<double>(q + 1, 1.0);
+
+  lp::DenseLp<double> dense;
+  dense.num_vars = q;
+  dense.objective.assign(q, 1.0);
+  // (2a) chain row k: column j sums, in the reference's term order, c_j
+  // (sent no later than k), w_k (j = k) and d_j (returned no earlier).
+  for (std::size_t k = 0; k < q; ++k) {
+    std::vector<double> row(q);
+    for (std::size_t j = 0; j < q; ++j) {
+      double value = 0.0;
+      if (j <= k) value += c[j];
+      if (j == k) value += w[j];
+      if (return_rank[j] >= return_rank[k]) value += d[j];
+      row[j] = value;
+    }
+    dense.add_row(std::move(row), lp::Relation::LessEq, rhs[k]);
+  }
+  // (2b) the one-port row: one exact c_k + d_k term per column.
+  if (options.one_port) {
+    dense.add_row(std::move(one_port), lp::Relation::LessEq, rhs[q]);
+  }
+  return dense;
+}
+
 ScenarioSolution solve_scenario(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
@@ -181,9 +313,9 @@ ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
 ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
                                         const Scenario& scenario,
                                         const LpOptions& options) {
-  const lp::LpProblem problem =
-      build_scenario_lp(platform, scenario, options);
-  const lp::Solution<double> lp_solution = problem.solve_double();
+  const lp::DenseLp<double> dense =
+      build_scenario_lp_double(platform, scenario, options);
+  const lp::Solution<double> lp_solution = lp::Simplex<double>(dense).solve();
   ScenarioSolutionD out;
   out.scenario = scenario;
   if (lp_solution.status == lp::Status::Infeasible) {

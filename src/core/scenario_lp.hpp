@@ -116,6 +116,18 @@ struct LpOptions {
                                               const Scenario& scenario,
                                               const LpOptions& options = {});
 
+/// The same LP as `build_scenario_lp(...).densify<double>()`, bit for bit,
+/// built straight from the platform's doubles: no Rational model, no
+/// names.  Chain coefficients are double sums from 0.0 in the exact
+/// model's term order (c_j, then w_k, then d_j); a one-port coefficient is
+/// the exact c_k + d_k rounded by `Rational::to_double`, which is the
+/// double add unless the exact sum is too wide; a right-hand side is 1, or
+/// with latencies the exact 1 - constants rounded once.  What
+/// `solve_scenario_double` solves.
+[[nodiscard]] lp::DenseLp<double> build_scenario_lp_double(
+    const StarPlatform& platform, const Scenario& scenario,
+    const LpOptions& options = {});
+
 /// Solves the scenario LP exactly.  Throws if the LP is not optimal
 /// (cannot happen in the linear model: alpha = 0 is always feasible; with
 /// affine latencies the constants may make the scenario infeasible, which

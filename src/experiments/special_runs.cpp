@@ -620,6 +620,8 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     const Scenario scenario = Scenario::fifo(platform.order_by_c());
     bench("build_scenario_lp", p,
           [&] { (void)build_scenario_lp(platform, scenario); });
+    bench("build_scenario_lp_double", p,
+          [&] { (void)build_scenario_lp_double(platform, scenario); });
   }
 
   // DES throughput: engine event dispatch and a full protocol execution.

@@ -70,6 +70,9 @@ DenseLp<T> LpProblem::densify() const {
   return dense;
 }
 
+template DenseLp<Rational> LpProblem::densify<Rational>() const;
+template DenseLp<double> LpProblem::densify<double>() const;
+
 Solution<Rational> LpProblem::solve_exact(ExactEngine engine) const {
   const DenseLp<Rational> dense = densify<Rational>();
   if (engine == ExactEngine::Bareiss) {

@@ -69,6 +69,13 @@ class LpProblem {
   /// Renders the model in LP-ish text form (debugging / examples).
   [[nodiscard]] std::string to_text() const;
 
+  /// The dense instance the solvers run on: `T` is Rational or double.
+  /// The double form rounds each exact coefficient and right-hand side
+  /// with `Rational::to_double` and sums a row's duplicate terms in double
+  /// from 0.0, in term order (the rule `build_scenario_lp_double` matches).
+  template <class T>
+  [[nodiscard]] DenseLp<T> densify() const;
+
  private:
   struct Row {
     std::vector<Term> terms;
@@ -76,9 +83,6 @@ class LpProblem {
     Rational rhs;
     std::string name;
   };
-
-  template <class T>
-  [[nodiscard]] DenseLp<T> densify() const;
 
   std::vector<std::string> var_names_;
   std::vector<Rational> objective_;

@@ -1,6 +1,9 @@
 #include "numeric/rational.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 
 #include "util/error.hpp"
@@ -30,26 +33,38 @@ void Rational::normalize() {
   }
 }
 
+BinaryFraction binary_fraction(double value) noexcept {
+  // A subnormal has no hidden bit and the smallest exponent.  Moving the
+  // significand's trailing zeros into the exponent leaves it odd.
+  constexpr int kFractionBits = 52;
+  constexpr int kExponentBias = 1023 + kFractionBits;
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const auto biased = static_cast<int>((bits >> kFractionBits) & 0x7ff);
+  std::uint64_t significand = bits & ((std::uint64_t{1} << kFractionBits) - 1);
+  if (biased != 0) significand |= std::uint64_t{1} << kFractionBits;
+  BinaryFraction out;
+  out.negative = (bits >> 63) != 0;
+  if (significand == 0) return out;
+  const int zeros = std::countr_zero(significand);
+  out.odd = significand >> zeros;
+  out.exponent = std::max(biased, 1) - kExponentBias + zeros;
+  return out;
+}
+
 Rational Rational::from_double(double value) {
   DLSCHED_EXPECT(std::isfinite(value), "from_double: non-finite value");
-  if (value == 0.0) return Rational();
-  int exp = 0;
-  double mantissa = std::frexp(value, &exp);  // value = mantissa * 2^exp
-  // Scale the mantissa to an odd integer: 53 bits always suffice.
-  for (int i = 0; i < 53 && mantissa != std::trunc(mantissa); ++i) {
-    mantissa *= 2.0;
-    --exp;
-  }
-  DLSCHED_EXPECT(mantissa == std::trunc(mantissa),
-                 "from_double: mantissa did not resolve");
-  BigInt num(static_cast<std::int64_t>(mantissa));
-  BigInt den(std::int64_t{1});
-  if (exp >= 0) {
-    num <<= static_cast<std::size_t>(exp);
+  // An odd numerator over a power of two is in lowest terms: no gcd.
+  const BinaryFraction fraction = binary_fraction(value);
+  if (fraction.odd == 0) return Rational();
+  Rational out;
+  out.num_ = BigInt(fraction.odd);
+  if (fraction.negative) out.num_.negate();
+  if (fraction.exponent >= 0) {
+    out.num_ <<= static_cast<std::size_t>(fraction.exponent);
   } else {
-    den <<= static_cast<std::size_t>(-exp);
+    out.den_ <<= static_cast<std::size_t>(-fraction.exponent);
   }
-  return Rational(std::move(num), std::move(den));
+  return out;
 }
 
 Rational Rational::from_string(std::string_view text) {

@@ -14,6 +14,7 @@
 // allocation-free in the common case.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -126,6 +127,17 @@ class Rational {
   BigInt num_;
   BigInt den_;
 };
+
+/// A finite double as (-1)^negative * odd * 2^exponent with `odd` odd, read
+/// off its IEEE-754 bits: the lowest-terms binary fraction
+/// `Rational::from_double` builds.  `odd` is 0 for +0 and -0.  The fields
+/// are meaningless for NaN and inf.
+struct BinaryFraction {
+  std::uint64_t odd = 0;
+  int exponent = 0;
+  bool negative = false;
+};
+[[nodiscard]] BinaryFraction binary_fraction(double value) noexcept;
 
 /// min/max conveniences used heavily by the closed-form formulas.
 [[nodiscard]] const Rational& min(const Rational& a, const Rational& b);

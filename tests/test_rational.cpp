@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "numeric/rational.hpp"
@@ -111,7 +114,78 @@ TEST(Rational, FromDoubleRoundTripsThroughToDouble) {
 
 TEST(Rational, FromDoubleRejectsNonFinite) {
   EXPECT_THROW(Rational::from_double(std::nan("")), dlsched::Error);
+  EXPECT_THROW(Rational::from_double(-std::nan("")), dlsched::Error);
   EXPECT_THROW(Rational::from_double(INFINITY), dlsched::Error);
+  EXPECT_THROW(Rational::from_double(-INFINITY), dlsched::Error);
+}
+
+/// The frexp loop `from_double` ran before it read the IEEE-754 bits:
+/// scale the mantissa up to an odd integer, then reduce through the
+/// normalizing constructor.  The reference the bit-level version must
+/// reproduce value for value and representation for representation.
+Rational frexp_from_double(double value) {
+  if (value == 0.0) return Rational();
+  int exp = 0;
+  double mantissa = std::frexp(value, &exp);
+  for (int i = 0; i < 53 && mantissa != std::trunc(mantissa); ++i) {
+    mantissa *= 2.0;
+    --exp;
+  }
+  BigInt num(static_cast<std::int64_t>(mantissa));
+  BigInt den(std::int64_t{1});
+  if (exp >= 0) {
+    num <<= static_cast<std::size_t>(exp);
+  } else {
+    den <<= static_cast<std::size_t>(-exp);
+  }
+  return Rational(std::move(num), std::move(den));
+}
+
+void expect_frexp_value(double x) {
+  const Rational got = Rational::from_double(x);
+  const Rational want = frexp_from_double(x);
+  EXPECT_EQ(got.num(), want.num()) << std::hexfloat << x;
+  EXPECT_EQ(got.den(), want.den()) << std::hexfloat << x;
+  EXPECT_EQ(got.num().is_inline(), want.num().is_inline()) << std::hexfloat
+                                                           << x;
+  EXPECT_EQ(got.den().is_inline(), want.den().is_inline()) << std::hexfloat
+                                                           << x;
+}
+
+TEST(Rational, FromDoubleMatchesTheFrexpLoopOnEveryKindOfDouble) {
+  // Random bit patterns: every exponent, sign and fraction shape.
+  std::mt19937_64 rng(0x19);
+  for (int checked = 0; checked < 20000;) {
+    const double x = std::bit_cast<double>(rng());
+    if (!std::isfinite(x)) continue;
+    expect_frexp_value(x);
+    ++checked;
+  }
+  // Every power of two, subnormal to the top binade, both signs.
+  for (int k = -1074; k <= 1023; ++k) {
+    expect_frexp_value(std::ldexp(1.0, k));
+    expect_frexp_value(-std::ldexp(1.0, k));
+  }
+  // Subnormals: extremes and random fractions under a zero exponent.
+  expect_frexp_value(std::numeric_limits<double>::denorm_min());
+  expect_frexp_value(DBL_MIN - std::numeric_limits<double>::denorm_min());
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t fraction = rng() & ((std::uint64_t{1} << 52) - 1);
+    expect_frexp_value(std::bit_cast<double>(fraction | (rng() << 63)));
+  }
+  // The top of the range, and integers from 2^53 up (even significands
+  // shift into the numerator, not the denominator).
+  for (const double x :
+       {DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, 0x1p53, 0x1p53 + 2.0,
+        0x1.fffffffffffffp+62, 0x1p63, 0x1.0000000000001p+64, 1e300,
+        -12345678901234567890.0, 0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0}) {
+    expect_frexp_value(x);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const int shift = 53 + static_cast<int>(rng() % 970);
+    expect_frexp_value(std::ldexp(
+        static_cast<double>(rng() >> 11 | std::uint64_t{1} << 52), shift - 52));
+  }
 }
 
 TEST(Rational, ToDoubleOfHugeOperandsMatchesThePinnedBits) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "core/scenario.hpp"
 #include "core/scenario_lp.hpp"
 #include "platform/generators.hpp"
@@ -182,6 +186,288 @@ TEST_P(ScenarioRealization, ThroughputScalesLinearlyWithHorizon) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioRealization,
                          ::testing::Values(11u, 22u, 33u, 44u));
+
+// ------------------------------------------------ the dense double builder --
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The reference: the exact model, rounded by `densify`.
+lp::DenseLp<double> densified(const StarPlatform& platform,
+                              const Scenario& scenario,
+                              const LpOptions& options) {
+  return build_scenario_lp(platform, scenario, options).densify<double>();
+}
+
+/// Entries of `got` whose bits differ from `want` (objective, right-hand
+/// sides, coefficients); a shape or relation difference counts as one.
+std::size_t bit_mismatches(const lp::DenseLp<double>& got,
+                           const lp::DenseLp<double>& want) {
+  if (got.num_vars != want.num_vars || got.rows.size() != want.rows.size() ||
+      got.relations != want.relations) {
+    return 1;
+  }
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < want.num_vars; ++j) {
+    count += bits(got.objective[j]) != bits(want.objective[j]);
+  }
+  for (std::size_t i = 0; i < want.rows.size(); ++i) {
+    count += bits(got.rhs[i]) != bits(want.rhs[i]);
+    for (std::size_t j = 0; j < want.num_vars; ++j) {
+      count += bits(got.rows[i][j]) != bits(want.rows[i][j]);
+    }
+  }
+  return count;
+}
+
+/// `solve_scenario_double` answers exactly as a double simplex over the
+/// densified Rational model: same feasibility, throughput and alpha bits
+/// and pivot count.
+void expect_same_double_solve(const StarPlatform& platform,
+                              const Scenario& scenario,
+                              const LpOptions& options) {
+  const ScenarioSolutionD got =
+      solve_scenario_double(platform, scenario, options);
+  const lp::DenseLp<double> model = densified(platform, scenario, options);
+  const lp::Solution<double> want = lp::Simplex<double>(model).solve();
+  ASSERT_EQ(got.lp_feasible, want.status == lp::Status::Optimal);
+  if (!got.lp_feasible) return;
+  EXPECT_EQ(bits(got.throughput), bits(want.objective));
+  EXPECT_EQ(got.lp_pivots, want.pivots);
+  for (std::size_t k = 0; k < scenario.size(); ++k) {
+    EXPECT_EQ(bits(got.alpha[scenario.send_order[k]]),
+              bits(std::max(0.0, want.values[k])))
+        << "sigma_1 position " << k;
+  }
+}
+
+/// The LP variants each scenario is built under: both port models, with
+/// no latencies, the scalar latencies, latencies large enough to make most
+/// scenarios infeasible, and per-worker latencies.
+std::vector<LpOptions> lp_variants(const gen::GeneratedPlatform& generated,
+                                   Rng& rng) {
+  std::vector<double> factor = generated.latency_factor;
+  if (factor.empty()) {
+    for (std::size_t i = 0; i < generated.platform.size(); ++i) {
+      factor.push_back(rng.uniform(0.2, 3.0));
+    }
+  }
+  LpOptions scalar;
+  scalar.send_latency = 0.002;
+  scalar.compute_latency = 0.01;
+  scalar.return_latency = 0.0013;
+  LpOptions infeasible;
+  infeasible.send_latency = 0.15;
+  infeasible.compute_latency = 0.3;
+  infeasible.return_latency = 0.1;
+  LpOptions per_worker;
+  per_worker.compute_latency = 0.004;
+  for (const double f : factor) {
+    per_worker.send_latencies.push_back(0.003 * f);
+    per_worker.return_latencies.push_back(0.0017 * f);
+  }
+  std::vector<LpOptions> variants;
+  for (const bool one_port : {true, false}) {
+    for (LpOptions options : {LpOptions{}, scalar, infeasible, per_worker}) {
+      options.one_port = one_port;
+      variants.push_back(std::move(options));
+    }
+  }
+  return variants;
+}
+
+TEST(ScenarioLpDouble, MatchesTheDensifiedRationalModelBitForBit) {
+  // Every generator family at p = 1..16 and both z regimes, under FIFO,
+  // LIFO, a random general scenario and a random-subset FIFO scenario
+  // (the affine screens' shape), in every LP variant.
+  const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
+  Rng rng(19);
+  std::size_t lps = 0;
+  std::size_t infeasible = 0;
+  std::size_t mismatches = 0;
+  for (const gen::GeneratorInfo& info : registry.infos()) {
+    const auto accepts = [&](const std::string& key) {
+      return std::find(info.params.begin(), info.params.end(), key) !=
+             info.params.end();
+    };
+    for (std::size_t p = 1; p <= 16; ++p) {
+      for (const double z : {0.35, 2.5}) {
+        gen::GenParams params;
+        if (accepts("p")) params["p"] = static_cast<double>(p);
+        if (accepts("z")) params["z"] = z;
+        if (accepts("z_num")) params["z_num"] = z < 1.0 ? 1.0 : 5.0;
+        if (accepts("lat_hi")) {
+          params["lat_lo"] = 0.5;
+          params["lat_hi"] = 1.5;
+        }
+        const gen::GeneratedPlatform generated =
+            registry.make_generated(info.name, params, rng);
+        const StarPlatform& platform = generated.platform;
+        const std::size_t n = platform.size();
+        const std::vector<std::size_t> order = rng.permutation(n);
+        const std::vector<std::size_t> subset(
+            order.begin(),
+            order.begin() + rng.uniform_int(1, static_cast<std::int64_t>(n)));
+        for (const Scenario& scenario :
+             {Scenario::fifo(order), Scenario::lifo(order),
+              Scenario::general(order, rng.permutation(n)),
+              Scenario::fifo(subset)}) {
+          for (const LpOptions& options : lp_variants(generated, rng)) {
+            const lp::DenseLp<double> model =
+                densified(platform, scenario, options);
+            mismatches += bit_mismatches(
+                build_scenario_lp_double(platform, scenario, options), model);
+            infeasible += lp::Simplex<double>(model).solve().status ==
+                          lp::Status::Infeasible;
+            ++lps;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << lps << " LPs";
+  EXPECT_GT(infeasible, 0u);  // the latency draws reach infeasible LPs
+}
+
+TEST(ScenarioLpDouble, SolvesExactlyLikeTheDensifiedModel) {
+  Rng rng(1919);
+  for (int iter = 0; iter < 40; ++iter) {
+    const std::size_t p = 1 + static_cast<std::size_t>(iter % 12);
+    const StarPlatform platform =
+        gen::random_star(p, rng, iter % 2 == 0 ? 0.4 : 1.7);
+    const std::vector<std::size_t> order = rng.permutation(p);
+    for (const LpOptions& options :
+         lp_variants(gen::GeneratedPlatform(platform), rng)) {
+      expect_same_double_solve(
+          platform, Scenario::general(order, rng.permutation(p)), options);
+    }
+  }
+}
+
+TEST(ScenarioLpDouble, OnePortColumnKeepsTheExactSumOfAWideGapPair) {
+  // c + d is a multiple of 2^-90 near 1.23: a 91-bit numerator, which
+  // Rational::to_double rounds digit by digit, one ulp below the double
+  // add.  A builder that added c + d in double would miss it.
+  const double c = 0x1.3b1419a7615b1p+0;
+  const double d = 0x1.6b38284502674p-40;
+  ASSERT_EQ(bits(c + d), bits(0x1.3b1419a762c65p+0));
+  // Light computation, so the one-port row binds at the optimum.
+  const StarPlatform platform({Worker{c, 0.01, d, "P1"},
+                               Worker{0.5, 0.02, 0.25, "P2"},
+                               Worker{c, 0.03, d, "P3"}});
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1, 2});
+  const lp::DenseLp<double> want = densified(platform, scenario, {});
+  ASSERT_EQ(want.rows.size(), 4u);
+  EXPECT_EQ(bits(want.rows[3][0]), bits(0x1.3b1419a762c64p+0));
+  EXPECT_NE(bits(want.rows[3][0]), bits(c + d));
+  EXPECT_EQ(bit_mismatches(build_scenario_lp_double(platform, scenario), want),
+            0u);
+  expect_same_double_solve(platform, scenario, {});
+  const ScenarioSolutionD solution = solve_scenario_double(platform, scenario);
+  const double budget = want.rows[3][0] * solution.alpha[0] +
+                        want.rows[3][1] * solution.alpha[1] +
+                        want.rows[3][2] * solution.alpha[2];
+  EXPECT_NEAR(budget, 1.0, 1e-12);  // the one-port row is tight
+}
+
+/// The chain rows' right-hand sides a builder would get by adding the
+/// latency constants in double: term by term in the exact model's order,
+/// or from running prefix (sends) and suffix (returns) sums.
+std::vector<double> double_sum_rhs(const Scenario& scenario,
+                                   const LpOptions& options,
+                                   bool in_term_order) {
+  const std::size_t q = scenario.size();
+  std::vector<double> sent(q);
+  std::vector<double> returned(q);
+  double total = 0.0;
+  for (std::size_t k = 0; k < q; ++k) {
+    total += options.send_latency_for(scenario.send_order[k]);
+    sent[k] = total;
+  }
+  total = 0.0;
+  for (std::size_t r = q; r-- > 0;) {
+    total += options.return_latency_for(scenario.return_order[r]);
+    returned[r] = total;
+  }
+  std::vector<double> rhs;
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::size_t mine = static_cast<std::size_t>(
+        std::find(scenario.return_order.begin(), scenario.return_order.end(),
+                  scenario.send_order[k]) -
+        scenario.return_order.begin());
+    if (!in_term_order) {
+      rhs.push_back(1.0 - (sent[k] + options.compute_latency + returned[mine]));
+      continue;
+    }
+    double constants = 0.0;
+    for (std::size_t j = 0; j <= k; ++j) {
+      constants += options.send_latency_for(scenario.send_order[j]);
+    }
+    constants += options.compute_latency;
+    for (std::size_t r = mine; r < q; ++r) {
+      constants += options.return_latency_for(scenario.return_order[r]);
+    }
+    rhs.push_back(1.0 - constants);
+  }
+  return rhs;
+}
+
+TEST(ScenarioLpDouble, AffineRightHandSidesAreTheExactConstantsRoundedOnce) {
+  // On this 16-worker general scenario, both ways of summing the latency
+  // constants in double round some chain row's 1 - constants differently
+  // from the exact sum, for the scalar latencies and the per-worker draw.
+  Rng rng(2006);
+  const StarPlatform platform = gen::random_star(16, rng, 0.6);
+  const std::vector<std::size_t> send_order = rng.permutation(16);
+  const std::vector<std::size_t> return_order = rng.permutation(16);
+  const Scenario scenario = Scenario::general(send_order, return_order);
+  LpOptions scalar;
+  scalar.send_latency = 0.002;
+  scalar.compute_latency = 0.01;
+  scalar.return_latency = 0.0013;
+  LpOptions per_worker;
+  per_worker.compute_latency = 0.01;
+  for (const double f : gen::latency_factors(platform, rng, 0.5, 2.0, 0.8)) {
+    per_worker.send_latencies.push_back(0.002 * f);
+    per_worker.return_latencies.push_back(0.0013 * f);
+  }
+  for (const LpOptions& options : {scalar, per_worker}) {
+    const lp::DenseLp<double> want = densified(platform, scenario, options);
+    EXPECT_EQ(
+        bit_mismatches(build_scenario_lp_double(platform, scenario, options),
+                       want),
+        0u);
+    for (const bool in_term_order : {true, false}) {
+      const std::vector<double> summed =
+          double_sum_rhs(scenario, options, in_term_order);
+      std::size_t differ = 0;
+      for (std::size_t k = 0; k < summed.size(); ++k) {
+        differ += bits(summed[k]) != bits(want.rhs[k]);
+      }
+      EXPECT_GT(differ, 0u) << "double sums (in_term_order = "
+                            << in_term_order << ") match every row";
+    }
+    expect_same_double_solve(platform, scenario, options);
+  }
+}
+
+TEST(ScenarioLpDouble, ConstantsBelowTheDoubleDenominatorRangeMatchToo) {
+  // A constant whose reduced denominator passes 2^1023 takes
+  // Rational::to_double's scaled path; the builder must read it back the
+  // same way, whatever that gives.
+  const double tiny = 0x1.0000000000001p-1000;
+  const StarPlatform platform({Worker{tiny, 0.5, tiny, "P1"},
+                               Worker{0.25, 0x1.8p-1020, 0.0, "P2"}});
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1});
+  for (const bool one_port : {true, false}) {
+    LpOptions options;
+    options.one_port = one_port;
+    EXPECT_EQ(
+        bit_mismatches(build_scenario_lp_double(platform, scenario, options),
+                       densified(platform, scenario, options)),
+        0u);
+    expect_same_double_solve(platform, scenario, options);
+  }
+}
 
 }  // namespace
 }  // namespace dlsched
