@@ -104,18 +104,79 @@ double fast_margin(double best) {
   return std::max(1e-7, 1e-6 * std::abs(best));
 }
 
+/// Lower bound on the exact throughput behind a fast one: usable as a
+/// pruning floor under the same error model as the margin screen.
+double fast_floor(double fast_throughput) {
+  return fast_throughput - fast_margin(fast_throughput);
+}
+
+/// Exact solve of a fast scan's candidate, charged to `exact_resolves` and
+/// to `into`'s pivot total.
+void resolve_exactly(const StarPlatform& platform, const AffineCosts& costs,
+                     FastCandidate& candidate, AffineSelectionResult& into,
+                     std::size_t& exact_resolves) {
+  if (candidate.exact) return;
+  candidate.exact = solve_affine_fifo(platform, candidate.subset, costs);
+  ++exact_resolves;
+  into.lp_pivots_total += candidate.exact->lp_pivots;
+}
+
+/// An exact throughput no candidate of a scan can beat, solved on first
+/// use.  With linear costs it is rho(all workers): adding a worker at
+/// alpha = 0 never lowers the FIFO optimum, because the newcomer's own
+/// chain row is dominated by its FIFO neighbour's row and every other row
+/// is unchanged, so rho(S) <= rho(S + w) <= rho(all).  Affine costs have no
+/// ceiling: an enrolled worker's constants cost horizon even at alpha = 0.
+class Ceiling {
+ public:
+  Ceiling(const StarPlatform& platform, const AffineCosts& costs)
+      : platform_(platform), costs_(costs), applies_(!costs.is_affine()) {}
+
+  /// True when `value` equals the ceiling.  The first call solves it, in
+  /// the full-set candidate among `candidates` when there is one, so that
+  /// candidate's own re-solve is free.
+  bool reached_by(const Rational& value,
+                  std::vector<FastCandidate>& candidates,
+                  AffineSelectionResult& into, std::size_t& exact_resolves) {
+    if (!applies_) return false;
+    if (!value_) {
+      const std::size_t p = platform_.size();
+      FastCandidate everyone{std::vector<std::size_t>(p), 0.0, true,
+                             std::nullopt};
+      std::iota(everyone.subset.begin(), everyone.subset.end(),
+                std::size_t{0});
+      const auto full = std::find_if(
+          candidates.begin(), candidates.end(),
+          [&](const FastCandidate& c) { return c.subset.size() == p; });
+      FastCandidate& solved = full == candidates.end() ? everyone : *full;
+      resolve_exactly(platform_, costs_, solved, into, exact_resolves);
+      value_ = solved.exact->throughput;
+    }
+    return value == *value_;
+  }
+
+ private:
+  const StarPlatform& platform_;
+  const AffineCosts& costs_;
+  bool applies_;
+  std::optional<Rational> value_;
+};
+
 /// Exact re-solve of every candidate the margin cannot rule out, offered
 /// to `into` in scan order (so ties resolve exactly as the all-exact scan
 /// does).  Fast-infeasible candidates are re-solved only when every
 /// throughput in sight is within noise of zero: an exactly-feasible subset
 /// the double LP rejects must have near-boundary constants, which force
-/// alpha (and hence the throughput) to ~0.  Returns the index of the last
+/// alpha (and hence the throughput) to ~0.  Stops once the incumbent
+/// equals the ceiling: no later contender can be strictly better, and
+/// offer() keeps the first maximum.  Returns the index of the last
 /// candidate that improved `into`, or SIZE_MAX.
 std::size_t resolve_margin_set(const StarPlatform& platform,
                                const AffineCosts& costs,
                                std::vector<FastCandidate>& candidates,
                                AffineSelectionResult& into,
-                               std::size_t& exact_resolves) {
+                               std::size_t& exact_resolves,
+                               Ceiling& ceiling) {
   double best = into.feasible ? into.best.throughput.to_double() : 0.0;
   bool any_feasible = into.feasible;
   for (const FastCandidate& c : candidates) {
@@ -132,12 +193,13 @@ std::size_t resolve_margin_set(const StarPlatform& platform,
     const bool contender =
         c.feasible ? c.throughput >= cut : (!any_feasible || best <= margin);
     if (!contender) continue;
-    if (!c.exact) {
-      c.exact = solve_affine_fifo(platform, c.subset, costs);
-      ++exact_resolves;
-      into.lp_pivots_total += c.exact->lp_pivots;
+    if (into.feasible && ceiling.reached_by(into.best.throughput, candidates,
+                                            into, exact_resolves)) {
+      break;
     }
-    if (offer(into, std::move(*c.exact))) last_improver = i;
+    resolve_exactly(platform, costs, c, into, exact_resolves);
+    // Copied, not moved: the ceiling may still read the full set's solution.
+    if (offer(into, *c.exact)) last_improver = i;
   }
   return last_improver;
 }
@@ -279,8 +341,21 @@ AffineSelectionResult solve_affine_fifo_best_subset(
   // The primed solutions are deliberately NOT offered as incumbents: the
   // floor only prunes subsets *strictly* below it, so the Gray walk still
   // elects exactly the winner the plain scan would (ties included), and
-  // the floor's own witness survives to be re-solved in place.
-  if (options.prune && !options.use_fast_lp) {
+  // the floor's own witness survives to be re-solved in place.  The fast
+  // scan primes from the double prefixes instead: their throughputs less
+  // the margin are exact lower bounds under the screen's error model.
+  if (options.prune && options.use_fast_lp) {
+    std::vector<std::size_t> prefix;
+    prefix.reserve(p);
+    for (std::size_t k = 0; k < p; ++k) {
+      prefix.push_back(order[k]);
+      const ScenarioSolutionD fast =
+          solve_affine_fifo_fast_sorted(platform, prefix, costs);
+      if (fast.lp_feasible) {
+        prune_below = std::max(prune_below, fast_floor(fast.throughput));
+      }
+    }
+  } else if (options.prune) {
     WarmChain prefix_chain;
     prefix_chain.enabled = options.warm_start;
     std::vector<std::size_t> prefix;
@@ -311,9 +386,9 @@ AffineSelectionResult solve_affine_fifo_best_subset(
     // stays the enumeration count, identical across the exact and fast
     // paths; the LPs actually solved are subsets_tried - subsets_pruned.
     ++result.subsets_tried;
-    // Upper-bound pruning needs an exact floor, which the fast screen only
-    // produces once the scan is over -- so it bites on the exact path (and
-    // never fires under use_fast_lp, where no priming runs either).
+    // The floor prunes only subsets strictly below some subset's value:
+    // an exact one on the exact path, a double one less the margin on the
+    // fast path.  Neither can be the winner or tie with it.
     if (options.prune && bounded_out(mask, bounds, prune_below)) {
       ++result.subsets_pruned;
       continue;
@@ -322,6 +397,9 @@ AffineSelectionResult solve_affine_fifo_best_subset(
     if (options.use_fast_lp) {
       const ScenarioSolutionD fast =
           solve_affine_fifo_fast_sorted(platform, subset, costs);
+      if (fast.lp_feasible) {
+        prune_below = std::max(prune_below, fast_floor(fast.throughput));
+      }
       candidates.push_back(
           {subset, fast.throughput, fast.lp_feasible, std::nullopt});
       continue;
@@ -349,8 +427,9 @@ AffineSelectionResult solve_affine_fifo_best_subset(
     }
   }
   if (options.use_fast_lp) {
+    Ceiling ceiling(platform, costs);
     resolve_margin_set(platform, costs, candidates, result,
-                       result.exact_resolves);
+                       result.exact_resolves, ceiling);
   }
   return result;
 }
@@ -365,9 +444,13 @@ AffineSelectionResult solve_affine_fifo_best_subset(
   return solve_affine_fifo_best_subset(platform, costs, options);
 }
 
-AffineSelectionResult solve_affine_fifo_greedy(const StarPlatform& platform,
-                                               const AffineCosts& costs,
-                                               bool use_fast_lp) {
+namespace {
+
+/// The greedy prefix scan; `ceiling` is shared with the local search that
+/// starts from it.
+AffineSelectionResult greedy_scan(const StarPlatform& platform,
+                                  const AffineCosts& costs, bool use_fast_lp,
+                                  Ceiling& ceiling) {
   DLSCHED_EXPECT(!platform.empty(), "empty platform");
   const std::vector<std::size_t> order = platform.order_by_c();
   AffineSelectionResult result;
@@ -413,9 +496,18 @@ AffineSelectionResult solve_affine_fifo_greedy(const StarPlatform& platform,
   }
   if (use_fast_lp) {
     resolve_margin_set(platform, costs, candidates, result,
-                       result.exact_resolves);
+                       result.exact_resolves, ceiling);
   }
   return result;
+}
+
+}  // namespace
+
+AffineSelectionResult solve_affine_fifo_greedy(const StarPlatform& platform,
+                                               const AffineCosts& costs,
+                                               bool use_fast_lp) {
+  Ceiling ceiling(platform, costs);
+  return greedy_scan(platform, costs, use_fast_lp, ceiling);
 }
 
 AffineSelectionResult solve_affine_fifo_local_search(
@@ -443,8 +535,9 @@ AffineSelectionResult solve_affine_fifo_local_search(
   // Seed with the greedy prefix; when even the cheapest-c prefix is
   // infeasible (per-worker latencies can sink worker 1 but not worker 5),
   // fall back to scanning the singletons.
+  Ceiling ceiling(platform, costs);
   AffineSelectionResult result =
-      solve_affine_fifo_greedy(platform, costs, options.use_fast_lp);
+      greedy_scan(platform, costs, options.use_fast_lp, ceiling);
   if (!result.feasible) {
     std::vector<FastCandidate> singletons;
     for (std::size_t i = 0; i < p; ++i) {
@@ -462,7 +555,7 @@ AffineSelectionResult solve_affine_fifo_local_search(
     }
     if (options.use_fast_lp) {
       resolve_margin_set(platform, costs, singletons, result,
-                         result.exact_resolves);
+                         result.exact_resolves, ceiling);
     }
     if (!result.feasible) return result;
   }
@@ -534,8 +627,9 @@ AffineSelectionResult solve_affine_fifo_local_search(
       // throughput improves the round incumbent -- the same "first
       // occurrence of the maximum" the all-exact scan picks, because the
       // margin set is re-offered in the original scan order.
-      const std::size_t idx = resolve_margin_set(platform, costs, candidates,
-                                                 round, result.exact_resolves);
+      const std::size_t idx =
+          resolve_margin_set(platform, costs, candidates, round,
+                             result.exact_resolves, ceiling);
       if (idx != SIZE_MAX) best_move = moves[idx];
     }
     if (out_of_budget()) {

@@ -69,8 +69,9 @@ struct AffineSubsetOptions {
   /// solving the p FIFO prefixes (one warm chain) before the scan.  The
   /// bound is evaluated in double with a conservative safety slack and
   /// prunes only subsets *strictly* below the floor, so neither the
-  /// winner (ties included) nor the feasible flag ever changes.  Exact
-  /// path only.
+  /// winner (ties included) nor the feasible flag ever changes.  Under
+  /// `use_fast_lp` the floor is the best double throughput seen (the
+  /// prefixes first, then every candidate) less the screen's margin.
   bool prune = true;
 
   /// Second pruning tier: before each exact solve, evaluate the candidate
@@ -95,7 +96,9 @@ struct AffineSubsetOptions {
 /// returned winner, participants and solution are bit-identical to the
 /// exact enumeration (the final comparison is always between exact
 /// rationals); `exact_resolves` counts the LPs that went to the exact
-/// engine.
+/// engine.  With linear costs the re-solves stop once the incumbent
+/// equals rho(all workers), which no subset exceeds (see `Ceiling` in
+/// selection.cpp); the same stop serves the greedy and local scans.
 [[nodiscard]] AffineSelectionResult solve_affine_fifo_best_subset(
     const StarPlatform& platform, const AffineCosts& costs,
     const AffineSubsetOptions& options);

@@ -68,12 +68,14 @@ void finish_affine(const SolveRequest& request, SolveResult& out) {
   finish_affine_checked(request, out, /*allow_failure=*/false);
 }
 
-/// Fast-LP gate: Precision::Fast only changes the affine solvers when real
-/// affine constants are present (the linear special case already has its
-/// own double path through the scenario solvers, and keeping the gate
-/// narrow preserves byte-identical outputs for linear-model sweeps).
+/// Fast-LP gate of the selection solvers: under Precision::Fast they rank
+/// candidates with the double LP and confirm the winner exactly, so their
+/// answer is the exact scan's under linear and affine costs alike.
+/// affine_fifo adds `costs.is_affine()` to the gate, because its Fast
+/// answer is the lifted double solution itself; keeping linear costs exact
+/// there keeps linear-model sweeps byte-identical.
 bool use_fast_lp(const SolveRequest& request) {
-  return request.precision == Precision::Fast && request.costs.is_affine();
+  return request.precision == Precision::Fast;
 }
 
 /// Marks a selection outcome where no subset was feasible: a clean
@@ -137,7 +139,7 @@ class AffineFifoSolver final : public Solver {
     out.solver = name();
     out.schedule_platform = platform;
     out.participants = sorted_participants(participants);
-    if (use_fast_lp(request)) {
+    if (use_fast_lp(request) && request.costs.is_affine()) {
       const ScenarioSolutionD screened =
           solve_affine_fifo_fast(platform, participants, request.costs);
       if (screened.lp_feasible) {

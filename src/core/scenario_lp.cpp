@@ -47,15 +47,9 @@ void check_latency_sizes(const StarPlatform& platform,
 // terms per column with double adds from 0.0.  The helpers below give the
 // same doubles without building the Rational model.
 
-/// `Rational::from_double(x).to_double()`: x itself while the reduced
-/// denominator is a finite double (at most 2^1023).  Below that
-/// `to_double` takes its scaled fallback, so such tiny constants (and
-/// zero, whose sign the Rational drops) go the exact way.
-double model_double(double x) {
-  const numeric::BinaryFraction fraction = numeric::binary_fraction(x);
-  if (fraction.odd != 0 && fraction.exponent >= -1023) return x;
-  return Rational::from_double(x).to_double();
-}
+/// `Rational::from_double(x).to_double()`: x itself, except that the
+/// Rational drops the sign of a zero.
+double model_double(double x) { return x == 0.0 ? 0.0 : x; }
 
 /// `(Rational::from_double(a) + Rational::from_double(b)).to_double()`.
 /// The exact sum is a multiple of 2^lo below 2^(hi + 2), where lo and hi

@@ -583,6 +583,16 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     return gen::random_star(p, rng, 0.5);
   };
 
+  // The double-LP micros take microseconds a call, under the regression
+  // gate's 1 ms noise floor: each of their timed samples runs this many
+  // calls, and their wall times are those of the whole batch.
+  constexpr int kDoubleLpBatch = 4000;
+  const auto batched = [](std::function<void()> call) {
+    return [call = std::move(call)] {
+      for (int i = 0; i < kDoubleLpBatch; ++i) call();
+    };
+  };
+
   // Exact rational simplex vs the double simplex on the scheduling LP
   // (the cost of replacing the paper's lp_solve with exact arithmetic).
   for (const std::size_t p :
@@ -598,8 +608,9 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
                      : std::vector<std::size_t>{4, 8, 12, 24}) {
     const StarPlatform platform = platform_for(p);
     const Scenario scenario = Scenario::fifo(platform.order_by_c());
-    bench("scenario_lp_double", p,
-          [&] { (void)solve_scenario_double(platform, scenario); });
+    bench("scenario_lp_double", p, batched([&] {
+            (void)solve_scenario_double(platform, scenario);
+          }));
   }
   // The two exact engines head to head on one pre-built LP: the
   // fraction-free Bareiss tableau vs the gcd-reducing rational simplex
@@ -620,8 +631,9 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     const Scenario scenario = Scenario::fifo(platform.order_by_c());
     bench("build_scenario_lp", p,
           [&] { (void)build_scenario_lp(platform, scenario); });
-    bench("build_scenario_lp_double", p,
-          [&] { (void)build_scenario_lp_double(platform, scenario); });
+    bench("build_scenario_lp_double", p, batched([&] {
+            (void)build_scenario_lp_double(platform, scenario);
+          }));
   }
 
   // DES throughput: engine event dispatch and a full protocol execution.
@@ -750,19 +762,32 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
        options.quick ? std::vector<std::size_t>{4}
                      : std::vector<std::size_t>{4, 8, 12}) {
     const StarPlatform platform = platform_for(p);
-    bench("affine_fast_lp", p, [&] {
-      (void)solve_affine_fifo_fast(platform, all_workers(platform),
-                                   affine_costs);
-    });
+    bench("affine_fast_lp", p, batched([&] {
+            (void)solve_affine_fifo_fast(platform, all_workers(platform),
+                                         affine_costs);
+          }));
   }
-  for (const std::size_t p : options.quick ? std::vector<std::size_t>{4}
-                                           : std::vector<std::size_t>{4, 8}) {
+  for (const std::size_t p :
+       options.quick ? std::vector<std::size_t>{4}
+                     : std::vector<std::size_t>{4, 8, 12}) {
     const StarPlatform platform = platform_for(p);
     bench("affine_fast_subset_select", p, [&] {
       (void)affine::solve_affine_fifo_best_subset(
           platform, affine_costs, /*max_workers=*/12,
           /*time_budget_seconds=*/0.0, /*use_fast_lp=*/true);
     });
+  }
+  // The sweeps' own selection jobs: a Precision::Fast request with linear
+  // costs through the registry, as a micro_solvers grid cell runs it.
+  if (!options.quick) {
+    SolveRequest request;
+    request.platform = platform_for(12);
+    request.precision = Precision::Fast;
+    for (const char* solver : {"affine_subset", "affine_local_search"}) {
+      bench(std::string(solver) + "_fast_linear", 12, [&] {
+        (void)SolverRegistry::instance().run(solver, request);
+      });
+    }
   }
   // The warm-start substrate: the Gray-code subset chain with and without
   // basis reuse (counters expose the pivot ledger), an optimal-basis warm

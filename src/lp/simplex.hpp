@@ -75,6 +75,9 @@ struct Solution {
 /// before any arithmetic (see Rational::sub_mul).
 template <class T>
 struct ScalarPolicy {
+  /// The pivot's row loops test every entry and skip exact zeros: for an
+  /// exact scalar a skipped update is a skipped allocation and gcd.
+  static constexpr bool kSkipZeroEntries = true;
   static bool is_positive(const T& v) { return v.is_positive(); }
   static bool is_negative(const T& v) { return v.is_negative(); }
   static bool is_zero(const T& v) { return v.is_zero(); }
@@ -91,6 +94,11 @@ struct ScalarPolicy {
 
 template <>
 struct ScalarPolicy<double> {
+  /// The pivot's row loops update every entry without a test.  The skipped
+  /// entries were bitwise zeros, and `t - f * 0` equals t except that it
+  /// can flip the sign of a zero t; no comparison and no output reads that
+  /// sign, so the results keep their bits.
+  static constexpr bool kSkipZeroEntries = false;
   static constexpr double kEps = 1e-9;
   static bool is_positive(double v) { return v > kEps; }
   static bool is_negative(double v) { return v < -kEps; }
@@ -432,11 +440,15 @@ class Simplex {
   /// pivots most tableau columns hold exact zeros (slack identity
   /// sub-blocks), and skipping them avoids the whole scalar update --
   /// which for Rational means skipping allocations and gcds, not just a
-  /// multiply.
+  /// multiply.  Double pivots take `pivot_without_tests` instead.
   void pivot(std::size_t row, std::size_t col) {
     ++pivots_;
     if (eta_.size() != tab_.size() || eta_[0] != &tab_[0][col]) {
       capture_column(col);
+    }
+    if constexpr (!P::kSkipZeroEntries) {
+      pivot_without_tests(row, col);
+      return;
     }
     std::vector<T>& prow = tab_[row];
     const T inv = T{1} / prow[col];
@@ -471,6 +483,37 @@ class Simplex {
         P::sub_mul(reduced_[j], rfactor, pv);
       }
       reduced_[col] = T{};
+      objective_value_ += rfactor * rhs_[row];
+    }
+    basis_[row] = col;
+  }
+
+  /// The same pivot with no per-entry zero test and no `j == col` test in
+  /// its three row loops, so they compile to straight-line vector code.
+  /// The pivot column's entries come out as 1 - 1 and f - f * 1, both
+  /// overwritten after the loop as before; each factor is copied first,
+  /// because the loop now writes the entry the eta cache points at.
+  void pivot_without_tests(std::size_t row, std::size_t col) {
+    T* const prow = tab_[row].data();
+    const std::size_t width = tab_[row].size();
+    const T inv = T{1} / prow[col];
+    for (std::size_t j = 0; j < width; ++j) prow[j] *= inv;
+    rhs_[row] *= inv;
+    prow[col] = T{1};  // kill residual rounding
+    for (std::size_t i = 0; i < tab_.size(); ++i) {
+      if (i == row) continue;
+      const T factor = *eta_[i];
+      if (P::is_zero(factor)) continue;
+      T* const trow = tab_[i].data();
+      for (std::size_t j = 0; j < width; ++j) trow[j] -= factor * prow[j];
+      rhs_[i] -= factor * rhs_[row];
+      trow[col] = T{};
+    }
+    const T rfactor = reduced_[col];
+    if (!P::is_zero(rfactor)) {
+      T* const reduced = reduced_.data();
+      for (std::size_t j = 0; j < width; ++j) reduced[j] -= rfactor * prow[j];
+      reduced[col] = T{};
       objective_value_ += rfactor * rhs_[row];
     }
     basis_[row] = col;

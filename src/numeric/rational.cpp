@@ -283,7 +283,21 @@ double Rational::to_double() const noexcept {
   const std::size_t shift = (nb > db ? db : nb) > 64 ? std::min(nb, db) - 64 : 0;
   const double sn = (num_ >> shift).to_double();
   const double sd = (den_ >> shift).to_double();
-  return sd != 0.0 ? sn / sd : 0.0;
+  if (std::isfinite(sn) && std::isfinite(sd)) return sn / sd;
+  // One operand still overflows (a small numerator over a denominator
+  // past 2^1024, or the reverse): divide the leading 64 bits of each and
+  // scale the quotient by the bits dropped.  Past a few thousand binades
+  // the quotient is 0 or inf whatever the exact exponent, so it is capped.
+  const std::size_t num_shift = nb > 64 ? nb - 64 : 0;
+  const std::size_t den_shift = db > 64 ? db - 64 : 0;
+  const double lead =
+      (num_ >> num_shift).to_double() / (den_ >> den_shift).to_double();
+  constexpr std::size_t kCap = 4096;
+  const int exponent =
+      num_shift >= den_shift
+          ? static_cast<int>(std::min(num_shift - den_shift, kCap))
+          : -static_cast<int>(std::min(den_shift - num_shift, kCap));
+  return std::ldexp(lead, exponent);
 }
 
 std::string Rational::to_string() const {

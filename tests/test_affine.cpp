@@ -385,6 +385,134 @@ TEST(AffineFastEdge, InfeasibleConstantsMatchUnderFast) {
   }
 }
 
+// ----- fast selection against the exact scans -----------------------------
+
+/// The cost regimes of the differential: linear, scalar latencies and
+/// per-worker latencies (the generator's draws, or random factors).
+std::vector<AffineCosts> cost_regimes(const gen::GeneratedPlatform& generated,
+                                      Rng& rng) {
+  AffineCosts scalar;
+  scalar.send_latency = 0.01;
+  scalar.compute_latency = 0.002;
+  scalar.return_latency = 0.005;
+  AffineCosts per_worker;
+  per_worker.compute_latency = 0.003;
+  for (std::size_t i = 0; i < generated.platform.size(); ++i) {
+    const double f = generated.has_latency_draws()
+                         ? generated.latency_factor[i]
+                         : rng.uniform(0.2, 3.0);
+    per_worker.send_latency_per_worker.push_back(0.008 * f);
+    per_worker.return_latency_per_worker.push_back(0.004 * f);
+  }
+  return {AffineCosts{}, scalar, per_worker};
+}
+
+/// Differences between a fast and an exact selection: feasibility,
+/// participants, exact throughput, alpha and scenario.
+std::size_t selection_mismatches(const affine::AffineSelectionResult& fast,
+                                 const affine::AffineSelectionResult& exact) {
+  if (fast.feasible != exact.feasible) return 1;
+  if (!exact.feasible) return 0;
+  std::size_t count = 0;
+  count += fast.participants != exact.participants;
+  count += fast.best.throughput != exact.best.throughput;
+  count += fast.best.alpha != exact.best.alpha;
+  count += fast.best.scenario.send_order != exact.best.scenario.send_order;
+  count += fast.best.scenario.return_order != exact.best.scenario.return_order;
+  return count;
+}
+
+TEST(AffineFastSelection, MatchesTheExactScansOnEveryGeneratorFamily) {
+  // Every generator family at p = 1..10 and both z regimes, under linear,
+  // scalar-latency and per-worker-latency costs: the fast subset, greedy
+  // and local scans elect the exact scans' winner with the same solution.
+  const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
+  Rng rng(20);
+  std::size_t selections = 0;
+  std::size_t mismatches = 0;
+  for (const gen::GeneratorInfo& info : registry.infos()) {
+    const auto accepts = [&](const std::string& key) {
+      return std::find(info.params.begin(), info.params.end(), key) !=
+             info.params.end();
+    };
+    for (std::size_t p = 1; p <= 10; ++p) {
+      for (const double z : {0.35, 2.5}) {
+        gen::GenParams params;
+        if (accepts("p")) params["p"] = static_cast<double>(p);
+        if (accepts("z")) params["z"] = z;
+        if (accepts("z_num")) params["z_num"] = z < 1.0 ? 1.0 : 5.0;
+        const gen::GeneratedPlatform generated =
+            registry.make_generated(info.name, params, rng);
+        const StarPlatform& platform = generated.platform;
+        if (platform.size() > 10) continue;
+        for (const AffineCosts& costs : cost_regimes(generated, rng)) {
+          affine::AffineSubsetOptions exact_subset;
+          affine::AffineSubsetOptions fast_subset;
+          fast_subset.use_fast_lp = true;
+          mismatches += selection_mismatches(
+              affine::solve_affine_fifo_best_subset(platform, costs,
+                                                    fast_subset),
+              affine::solve_affine_fifo_best_subset(platform, costs,
+                                                    exact_subset));
+          mismatches += selection_mismatches(
+              affine::solve_affine_fifo_greedy(platform, costs, true),
+              affine::solve_affine_fifo_greedy(platform, costs, false));
+          affine::AffineLocalSearchOptions fast_local;
+          fast_local.use_fast_lp = true;
+          mismatches += selection_mismatches(
+              affine::solve_affine_fifo_local_search(platform, costs,
+                                                     fast_local),
+              affine::solve_affine_fifo_local_search(platform, costs, {}));
+          selections += 3;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << selections << " selections";
+  EXPECT_GT(selections, 1500u);
+}
+
+TEST(AffineFastSelection, AddingAWorkerNeverLowersTheLinearOptimum) {
+  // The ceiling stop rests on this: with linear costs, rho(S) <=
+  // rho(S + w), so no subset beats the full worker set.
+  Rng rng(2021);
+  for (int iter = 0; iter < 60; ++iter) {
+    const std::size_t p = 2 + static_cast<std::size_t>(iter % 8);
+    const StarPlatform platform =
+        gen::random_star(p, rng, iter % 2 == 0 ? 0.35 : 2.5);
+    const std::vector<std::size_t> order = rng.permutation(p);
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(p) - 1));
+    std::vector<std::size_t> subset(order.begin(), order.begin() + k);
+    const Rational before =
+        solve_affine_fifo(platform, subset, AffineCosts{}).throughput;
+    subset.push_back(order[k]);
+    const Rational after =
+        solve_affine_fifo(platform, subset, AffineCosts{}).throughput;
+    EXPECT_LE(before, after) << "p " << p << " iter " << iter;
+    EXPECT_LE(after,
+              solve_affine_fifo(platform, all_of(platform), AffineCosts{})
+                  .throughput);
+  }
+}
+
+TEST(AffineFastSelection, LinearSubsetScanReSolvesAtMostThreeLps) {
+  // Without latencies every superset of the optimal set ties with it; the
+  // ceiling stop ends the exact re-solves at the first tie in scan order.
+  Rng rng(2022);
+  for (int iter = 0; iter < 8; ++iter) {
+    const StarPlatform platform =
+        gen::random_star(10, rng, iter % 2 == 0 ? 0.35 : 2.5);
+    affine::AffineSubsetOptions options;
+    options.use_fast_lp = true;
+    const affine::AffineSelectionResult fast =
+        affine::solve_affine_fifo_best_subset(platform, AffineCosts{}, options);
+    ASSERT_TRUE(fast.feasible);
+    EXPECT_LE(fast.exact_resolves, 3u) << "iter " << iter;
+    EXPECT_GT(fast.subsets_pruned, 0u) << "iter " << iter;
+  }
+}
+
 TEST(AffineFastEdge, ExactSolvesReportArenaTraffic) {
   // SolverRegistry::run snapshots the thread-local limb arena around every
   // solve; an exact affine LP must show big-integer buffer traffic.

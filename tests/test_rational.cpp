@@ -213,6 +213,54 @@ TEST(Rational, ToDoubleOfHugeOperandsMatchesThePinnedBits) {
   }
 }
 
+void expect_round_trip(double x) {
+  // The Rational has no negative zero; every other double comes back as
+  // itself, bit for bit.
+  const double want = x == 0.0 ? 0.0 : x;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Rational::from_double(x).to_double()),
+            std::bit_cast<std::uint64_t>(want))
+      << std::hexfloat << x;
+}
+
+TEST(Rational, ToDoubleReturnsEveryDoubleFromDouble) {
+  // Below about 2^-970 the reduced denominator passes 2^1023 while the
+  // numerator stays small; to_double once divided by an infinite
+  // denominator there and returned 0.
+  expect_round_trip(0x1.0000000000001p-1000);
+  for (int k = -1074; k <= 1023; ++k) {
+    expect_round_trip(std::ldexp(1.0, k));
+    expect_round_trip(-std::ldexp(1.0, k));
+  }
+  std::mt19937_64 rng(0x20);
+  expect_round_trip(std::numeric_limits<double>::denorm_min());
+  expect_round_trip(DBL_MIN - std::numeric_limits<double>::denorm_min());
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t fraction = rng() & ((std::uint64_t{1} << 52) - 1);
+    expect_round_trip(std::bit_cast<double>(fraction | (rng() << 63)));
+  }
+  for (int checked = 0; checked < 20000;) {
+    const double x = std::bit_cast<double>(rng());
+    if (!std::isfinite(x)) continue;
+    expect_round_trip(x);
+    ++checked;
+  }
+}
+
+TEST(Rational, ToDoubleScalesWhenOnlyOneOperandOverflows) {
+  // A small numerator over a huge odd denominator, and a huge numerator
+  // over a small one: finite quotients, no longer 0 and inf.
+  auto pow2 = [](unsigned k) { return BigInt(1) << k; };
+  EXPECT_EQ(Rational(BigInt(3), pow2(1030) + 1).to_double(),
+            std::ldexp(3.0, -1030));
+  EXPECT_EQ(Rational(-BigInt(5), pow2(1060) - 1).to_double(),
+            -std::ldexp(5.0, -1060));
+  EXPECT_DOUBLE_EQ(Rational(pow2(1030) + 1, BigInt(3) << 10).to_double(),
+                   std::ldexp(1.0 / 3.0, 1020));
+  EXPECT_EQ(Rational(pow2(1100), BigInt(7)).to_double(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(Rational(BigInt(1), pow2(1200)).to_double(), 0.0);
+}
+
 TEST(Rational, FromStringForms) {
   EXPECT_EQ(Rational::from_string("3/4"), rat(3, 4));
   EXPECT_EQ(Rational::from_string("-6/8"), rat(-3, 4));

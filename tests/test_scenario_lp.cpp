@@ -453,7 +453,7 @@ TEST(ScenarioLpDouble, AffineRightHandSidesAreTheExactConstantsRoundedOnce) {
 TEST(ScenarioLpDouble, ConstantsBelowTheDoubleDenominatorRangeMatchToo) {
   // A constant whose reduced denominator passes 2^1023 takes
   // Rational::to_double's scaled path; the builder must read it back the
-  // same way, whatever that gives.
+  // same way.
   const double tiny = 0x1.0000000000001p-1000;
   const StarPlatform platform({Worker{tiny, 0.5, tiny, "P1"},
                                Worker{0.25, 0x1.8p-1020, 0.0, "P2"}});

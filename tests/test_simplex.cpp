@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "core/scenario_lp.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "numeric/rational.hpp"
+#include "platform/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -276,6 +282,143 @@ TEST_P(SimplexRandomized, ExactAndDoubleAgreeOnRandomPackingLps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomized,
                          ::testing::Values(101u, 202u, 303u, 404u));
+
+// ------------------------------------------------ the double engine's pin --
+
+/// Folds `word` into the running digest `h`.
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Everything a double solve returns: status, objective and value bits,
+/// the basis and the pivot count.
+std::uint64_t fold_solution(std::uint64_t h, const Solution<double>& s) {
+  h = fold(h, static_cast<std::uint64_t>(s.status));
+  h = fold(h, std::bit_cast<std::uint64_t>(s.objective));
+  for (const double v : s.values) h = fold(h, std::bit_cast<std::uint64_t>(v));
+  for (const std::size_t b : s.basic_structurals) h = fold(h, b);
+  return fold(h, s.pivots);
+}
+
+/// The LP variants of each scenario: both port models, with no latencies,
+/// the scalar latencies, latencies large enough to make most scenarios
+/// infeasible (phase 1 runs and fails), and per-worker latencies.
+std::vector<dlsched::LpOptions> pin_variants(std::size_t p, Rng& rng) {
+  dlsched::LpOptions scalar;
+  scalar.send_latency = 0.002;
+  scalar.compute_latency = 0.01;
+  scalar.return_latency = 0.0013;
+  dlsched::LpOptions infeasible;
+  infeasible.send_latency = 0.15;
+  infeasible.compute_latency = 0.3;
+  infeasible.return_latency = 0.1;
+  dlsched::LpOptions per_worker;
+  per_worker.compute_latency = 0.004;
+  for (std::size_t i = 0; i < p; ++i) {
+    const double f = rng.uniform(0.2, 3.0);
+    per_worker.send_latencies.push_back(0.003 * f);
+    per_worker.return_latencies.push_back(0.0017 * f);
+  }
+  std::vector<dlsched::LpOptions> variants;
+  for (const bool one_port : {true, false}) {
+    for (dlsched::LpOptions options :
+         {dlsched::LpOptions{}, scalar, infeasible, per_worker}) {
+      options.one_port = one_port;
+      variants.push_back(std::move(options));
+    }
+  }
+  return variants;
+}
+
+/// A small LP with <=, >= and = rows.  Zero right-hand sides and repeated
+/// equality rows leave artificials basic at zero after phase 1, which the
+/// expulsion step then pivots out or leaves on a redundant row.
+DenseLp<double> mixed_lp(Rng& rng) {
+  DenseLp<double> lp;
+  lp.num_vars = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+  for (std::size_t j = 0; j < lp.num_vars; ++j) {
+    lp.objective.push_back(static_cast<double>(rng.uniform_int(-1, 4)));
+  }
+  const auto row = [&] {
+    std::vector<double> coefficients;
+    for (std::size_t j = 0; j < lp.num_vars; ++j) {
+      coefficients.push_back(static_cast<double>(rng.uniform_int(0, 6)) / 4);
+    }
+    return coefficients;
+  };
+  const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto relation = static_cast<Relation>(rng.uniform_int(0, 2));
+    const double rhs = static_cast<double>(rng.uniform_int(-1, 3)) / 2;
+    std::vector<double> coefficients = row();
+    if (relation == Relation::Equal && rng.uniform_int(0, 1) == 1) {
+      lp.add_row(coefficients, relation, rhs);
+    }
+    lp.add_row(std::move(coefficients), relation, rhs);
+  }
+  lp.add_row(std::vector<double>(lp.num_vars, 0.125), Relation::LessEq, 1.0);
+  return lp;
+}
+
+TEST(SimplexDoublePin, SolvesEveryLpToThePinnedBits) {
+  // The double engine's status, objective and value bits, basis and pivot
+  // counts over scenario LPs of every generator family (p 1-12, z 0.35 and
+  // 2.5; FIFO, LIFO, general and random-subset scenarios; both port
+  // models; no, scalar, infeasible and per-worker latencies), cold and
+  // warm-started from the cold basis, plus 2,000 mixed-relation LPs that
+  // run phase 1 and expel artificials.  The digest was recorded with the
+  // pivot that still tested every entry for zero.
+  const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
+  Rng rng(2020);
+  std::uint64_t digest = 0;
+  std::size_t lps = 0;
+  std::size_t infeasible = 0;
+  for (const gen::GeneratorInfo& info : registry.infos()) {
+    const auto accepts = [&](const std::string& key) {
+      return std::find(info.params.begin(), info.params.end(), key) !=
+             info.params.end();
+    };
+    for (std::size_t p = 1; p <= 12; ++p) {
+      for (const double z : {0.35, 2.5}) {
+        gen::GenParams params;
+        if (accepts("p")) params["p"] = static_cast<double>(p);
+        if (accepts("z")) params["z"] = z;
+        if (accepts("z_num")) params["z_num"] = z < 1.0 ? 1.0 : 5.0;
+        const StarPlatform platform =
+            registry.make_generated(info.name, params, rng).platform;
+        const std::size_t n = platform.size();
+        const std::vector<std::size_t> order = rng.permutation(n);
+        const std::vector<std::size_t> subset(
+            order.begin(),
+            order.begin() + rng.uniform_int(1, static_cast<std::int64_t>(n)));
+        for (const Scenario& scenario :
+             {Scenario::fifo(order), Scenario::lifo(order),
+              Scenario::general(order, rng.permutation(n)),
+              Scenario::fifo(subset)}) {
+          for (const dlsched::LpOptions& options : pin_variants(n, rng)) {
+            const DenseLp<double> lp =
+                build_scenario_lp_double(platform, scenario, options);
+            const Solution<double> cold = Simplex<double>(lp).solve();
+            digest = fold_solution(digest, cold);
+            infeasible += cold.status == Status::Infeasible;
+            ++lps;
+            if (cold.status != Status::Optimal) continue;
+            digest = fold_solution(
+                digest,
+                Simplex<double>(lp).solve(WarmBasis{cold.basic_structurals}));
+          }
+        }
+      }
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    digest = fold_solution(digest, Simplex<double>(mixed_lp(rng)).solve());
+    ++lps;
+  }
+  EXPECT_EQ(lps, 10448u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_EQ(digest, 0xb2bc9f6f8472f7ecULL);
+}
 
 }  // namespace
 }  // namespace dlsched::lp
