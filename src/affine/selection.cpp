@@ -1,8 +1,10 @@
 #include "affine/selection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -11,6 +13,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/fan_out.hpp"
 
 namespace dlsched::affine {
 
@@ -301,6 +304,79 @@ double floor_of(const Rational& value) {
   return value.to_double() * (1.0 - kBoundSlack) - kBoundSlack;
 }
 
+// ------------------------------------------------- fast scan in blocks --
+
+/// Masks per block of the fast scan's Gray walk.  A constant, so the
+/// blocks, and every counter, are the same whatever the lane count; a
+/// scan with p <= 9 is a single block.
+constexpr std::size_t kFastScanBlock = 512;
+
+/// One block's fast-screened candidates, in walk order, and its counts.
+struct FastBlock {
+  std::vector<FastCandidate> candidates;
+  std::size_t tried = 0;
+  std::size_t pruned = 0;
+};
+
+/// The fast scan's Gray walk over `order`, in blocks of kFastScanBlock
+/// masks run side by side on free pool lanes.  Each block prunes against
+/// `floor` raised by its own candidates only, so it keeps every subset the
+/// serial walk keeps, and perhaps a few that a floor from an earlier block
+/// would have pruned.  Those have rho below that floor, hence fast
+/// throughputs below the margin cut, so the margin set that
+/// `resolve_margin_set` re-solves, and the winner, are the serial walk's.
+/// Returns the candidates in walk order; adds the counts to `result`.
+std::vector<FastCandidate> fast_scan(const StarPlatform& platform,
+                                     const AffineCosts& costs,
+                                     const AffineSubsetOptions& options,
+                                     std::span<const std::size_t> order,
+                                     const BoundTable& bounds, double floor,
+                                     steady_clock::time_point start,
+                                     AffineSelectionResult& result) {
+  const std::size_t end = std::size_t{1} << order.size();
+  std::vector<FastBlock> blocks((end + kFastScanBlock - 1) / kFastScanBlock);
+  std::atomic<bool> expired{false};
+  fan_out(blocks.size(), lane_count(0, blocks.size()), [&](std::size_t b) {
+    FastBlock& block = blocks[b];
+    double prune_below = floor;
+    std::vector<std::size_t> subset;  // one buffer reused across the block
+    subset.reserve(order.size());
+    const std::size_t last = std::min(end, (b + 1) * kFastScanBlock);
+    for (std::size_t n = std::max<std::size_t>(1, b * kFastScanBlock);
+         n < last; ++n) {
+      if (options.time_budget_seconds > 0.0 &&
+          (expired.load(std::memory_order_relaxed) ||
+           elapsed_since(start) > options.time_budget_seconds)) {
+        expired.store(true, std::memory_order_relaxed);
+        break;
+      }
+      ++block.tried;
+      const std::size_t mask = n ^ (n >> 1);
+      if (options.prune && bounded_out(mask, bounds, prune_below)) {
+        ++block.pruned;
+        continue;
+      }
+      extract_subset(mask, order, subset);
+      const ScenarioSolutionD fast =
+          solve_affine_fifo_fast_sorted(platform, subset, costs);
+      if (fast.lp_feasible) {
+        prune_below = std::max(prune_below, fast_floor(fast.throughput));
+      }
+      block.candidates.push_back(
+          {subset, fast.throughput, fast.lp_feasible, std::nullopt});
+    }
+  });
+  std::vector<FastCandidate> candidates;
+  for (FastBlock& block : blocks) {
+    result.subsets_tried += block.tried;
+    result.subsets_pruned += block.pruned;
+    std::move(block.candidates.begin(), block.candidates.end(),
+              std::back_inserter(candidates));
+  }
+  result.budget_exhausted = expired.load();
+  return candidates;
+}
+
 }  // namespace
 
 AffineSelectionResult solve_affine_fifo_best_subset(
@@ -322,11 +398,6 @@ AffineSelectionResult solve_affine_fifo_best_subset(
   // same order the stable re-sort of the unsorted entry point produces).
   const std::vector<std::size_t> order = platform.order_by_c();
   const BoundTable bounds = make_bound_table(platform, costs, order);
-  std::vector<std::size_t> subset;  // one buffer reused across all masks
-  subset.reserve(p);
-  WarmChain chain;
-  chain.enabled = options.warm_start && !options.use_fast_lp;
-  std::vector<FastCandidate> candidates;
   // Subsets whose (inflated) knapsack bound lands strictly below this are
   // skipped; starts at -inf (nothing prunable) and ratchets up with every
   // improvement -- from the prefix priming below and from each offer().
@@ -371,10 +442,23 @@ AffineSelectionResult solve_affine_fifo_best_subset(
       }
     }
   }
+  // Exact and fast scans walk the same Gray code, so every mode ranks
+  // ties in the same enumeration order.
+  if (options.use_fast_lp) {
+    std::vector<FastCandidate> candidates = fast_scan(
+        platform, costs, options, order, bounds, prune_below, start, result);
+    Ceiling ceiling(platform, costs);
+    resolve_margin_set(platform, costs, candidates, result,
+                       result.exact_resolves, ceiling);
+    return result;
+  }
   // Gray-code walk: consecutive masks differ by exactly one worker, so the
   // previous LP is structurally adjacent to the next one -- the tightest
-  // possible parent for the warm-start seed.  Exact and fast scans share
-  // the walk, so every mode ranks ties in the same enumeration order.
+  // possible parent for the warm-start seed.
+  WarmChain chain;
+  chain.enabled = options.warm_start;
+  std::vector<std::size_t> subset;  // one buffer reused across all masks
+  subset.reserve(p);
   for (std::size_t n = 1; n < (std::size_t{1} << p); ++n) {
     const std::size_t mask = n ^ (n >> 1);
     if (options.time_budget_seconds > 0.0 &&
@@ -386,24 +470,13 @@ AffineSelectionResult solve_affine_fifo_best_subset(
     // stays the enumeration count, identical across the exact and fast
     // paths; the LPs actually solved are subsets_tried - subsets_pruned.
     ++result.subsets_tried;
-    // The floor prunes only subsets strictly below some subset's value:
-    // an exact one on the exact path, a double one less the margin on the
-    // fast path.  Neither can be the winner or tie with it.
+    // The floor prunes only subsets strictly below some subset's exact
+    // value, which can be neither the winner nor tie with it.
     if (options.prune && bounded_out(mask, bounds, prune_below)) {
       ++result.subsets_pruned;
       continue;
     }
     extract_subset(mask, order, subset);
-    if (options.use_fast_lp) {
-      const ScenarioSolutionD fast =
-          solve_affine_fifo_fast_sorted(platform, subset, costs);
-      if (fast.lp_feasible) {
-        prune_below = std::max(prune_below, fast_floor(fast.throughput));
-      }
-      candidates.push_back(
-          {subset, fast.throughput, fast.lp_feasible, std::nullopt});
-      continue;
-    }
     // Margin screen: an exact value at least `best_seen` already exists,
     // so a candidate whose double throughput cannot reach it even with
     // the safety margin added back can be neither the winner nor a tie --
@@ -425,11 +498,6 @@ AffineSelectionResult solve_affine_fifo_best_subset(
       prune_below = std::max(prune_below, floor_of(result.best.throughput));
       best_seen = std::max(best_seen, result.best.throughput.to_double());
     }
-  }
-  if (options.use_fast_lp) {
-    Ceiling ceiling(platform, costs);
-    resolve_margin_set(platform, costs, candidates, result,
-                       result.exact_resolves, ceiling);
   }
   return result;
 }

@@ -98,7 +98,12 @@ struct AffineSubsetOptions {
 /// rationals); `exact_resolves` counts the LPs that went to the exact
 /// engine.  With linear costs the re-solves stop once the incumbent
 /// equals rho(all workers), which no subset exceeds (see `Ceiling` in
-/// selection.cpp); the same stop serves the greedy and local scans.
+/// selection.cpp); the same stop serves the greedy and local scans.  The
+/// fast screen walks the Gray code in fixed blocks of 512 masks, side by
+/// side on free pool lanes (util/fan_out.hpp), each block pruning against
+/// its own candidates' floors: the result and every counter are the same
+/// whatever the lane count, and with latencies `subsets_pruned` can be
+/// lower than a single walk's.
 [[nodiscard]] AffineSelectionResult solve_affine_fifo_best_subset(
     const StarPlatform& platform, const AffineCosts& costs,
     const AffineSubsetOptions& options);

@@ -36,6 +36,9 @@ struct BruteForceResult {
 };
 
 /// Exact exhaustive search.  Throws if platform.size() > options.max_workers.
+/// The search runs in blocks, one per sigma_1, side by side on free pool
+/// lanes (util/fan_out.hpp); the result and `scenarios_tried` do not depend
+/// on how many lanes joined, unless the time budget stops the blocks.
 [[nodiscard]] BruteForceResult brute_force_best(
     const StarPlatform& platform, const BruteForceOptions& options = {});
 
@@ -49,8 +52,9 @@ struct BruteForceResultD {
 [[nodiscard]] BruteForceResultD brute_force_best_double(
     const StarPlatform& platform, const BruteForceOptions& options = {});
 
-/// Visits every scenario in the searched space (exact solve per scenario).
-/// Used by property tests that need the full distribution, not just the max.
+/// Visits every scenario in the searched space (exact solve per scenario),
+/// one sigma_1 block after another on the calling thread.  Used by
+/// property tests that need the full distribution, not just the max.
 void for_each_scenario(
     const StarPlatform& platform, const BruteForceOptions& options,
     const std::function<void(const ScenarioSolution&)>& visit);

@@ -3,19 +3,28 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/fan_out.hpp"
 
 namespace dlsched {
 
 namespace {
 
+/// One climb's local optimum and its own counters.
+struct Climb {
+  ScenarioSolutionD best;
+  std::size_t lp_evaluations = 0;
+  std::size_t ascents = 0;
+};
+
 /// One steepest-ascent climb from `scenario`; returns the local optimum.
-ScenarioSolutionD climb(const StarPlatform& platform, Scenario scenario,
-                        const LocalSearchOptions& options,
-                        std::size_t& lp_evaluations, std::size_t& ascents) {
-  ScenarioSolutionD current = solve_scenario_double(platform, scenario);
-  ++lp_evaluations;
+Climb climb(const StarPlatform& platform, const Scenario& scenario,
+            const LocalSearchOptions& options) {
+  Climb out;
+  ScenarioSolutionD& current = out.best;
+  current = solve_scenario_double(platform, scenario);
+  ++out.lp_evaluations;
   const std::size_t q = scenario.size();
-  if (q < 2) return current;
+  if (q < 2) return out;
 
   for (std::size_t step = 0; step < options.max_steps; ++step) {
     ScenarioSolutionD best_neighbor;
@@ -23,7 +32,7 @@ ScenarioSolutionD climb(const StarPlatform& platform, Scenario scenario,
 
     auto consider = [&](const Scenario& candidate) {
       ScenarioSolutionD solution = solve_scenario_double(platform, candidate);
-      ++lp_evaluations;
+      ++out.lp_evaluations;
       if (solution.throughput >
           (improved ? best_neighbor.throughput : current.throughput) +
               1e-12) {
@@ -49,9 +58,9 @@ ScenarioSolutionD climb(const StarPlatform& platform, Scenario scenario,
 
     if (!improved) break;
     current = std::move(best_neighbor);
-    ++ascents;
+    ++out.ascents;
   }
-  return current;
+  return out;
 }
 
 }  // namespace
@@ -73,13 +82,18 @@ LocalSearchResult local_search_best_pair(const StarPlatform& platform,
                                        rng.permutation(platform.size())));
   }
 
-  bool have_best = false;
-  for (const Scenario& start : starts) {
-    ScenarioSolutionD local = climb(platform, start, options,
-                                    result.lp_evaluations, result.ascents);
-    if (!have_best || local.throughput > result.best.throughput) {
-      result.best = std::move(local);
-      have_best = true;
+  // Every start is drawn before any climb begins, so the climbs are
+  // independent: they run on free pool lanes, and are reduced in start
+  // order (the first best wins), whatever lane ran which.
+  std::vector<Climb> climbs(starts.size());
+  fan_out(starts.size(), lane_count(0, starts.size()), [&](std::size_t k) {
+    climbs[k] = climb(platform, starts[k], options);
+  });
+  for (std::size_t k = 0; k < climbs.size(); ++k) {
+    result.lp_evaluations += climbs[k].lp_evaluations;
+    result.ascents += climbs[k].ascents;
+    if (k == 0 || climbs[k].best.throughput > result.best.throughput) {
+      result.best = std::move(climbs[k].best);
     }
   }
   return result;

@@ -35,7 +35,9 @@ struct LocalSearchResult {
 };
 
 /// Runs the search; the returned solution's scenario holds the best
-/// (sigma_1, sigma_2) pair found.
+/// (sigma_1, sigma_2) pair found.  The climbs run side by side on free
+/// pool lanes (util/fan_out.hpp); the result and its counters do not
+/// depend on how many lanes joined.
 [[nodiscard]] LocalSearchResult local_search_best_pair(
     const StarPlatform& platform, const LocalSearchOptions& options = {});
 

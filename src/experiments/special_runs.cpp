@@ -583,13 +583,14 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     return gen::random_star(p, rng, 0.5);
   };
 
-  // The double-LP micros take microseconds a call, under the regression
-  // gate's 1 ms noise floor: each of their timed samples runs this many
-  // calls, and their wall times are those of the whole batch.
+  // Micros that take microseconds a call sit under the regression gate's
+  // 1 ms noise floor, or under its 0.5 ms bar for machine-speed anchors
+  // (the DES and gemm micros): each of their timed samples runs a fixed
+  // batch of calls, and their wall times are those of the whole batch.
   constexpr int kDoubleLpBatch = 4000;
-  const auto batched = [](std::function<void()> call) {
-    return [call = std::move(call)] {
-      for (int i = 0; i < kDoubleLpBatch; ++i) call();
+  const auto batched = [](int calls, std::function<void()> call) {
+    return [calls, call = std::move(call)] {
+      for (int i = 0; i < calls; ++i) call();
     };
   };
 
@@ -608,7 +609,7 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
                      : std::vector<std::size_t>{4, 8, 12, 24}) {
     const StarPlatform platform = platform_for(p);
     const Scenario scenario = Scenario::fifo(platform.order_by_c());
-    bench("scenario_lp_double", p, batched([&] {
+    bench("scenario_lp_double", p, batched(kDoubleLpBatch, [&] {
             (void)solve_scenario_double(platform, scenario);
           }));
   }
@@ -631,23 +632,29 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     const Scenario scenario = Scenario::fifo(platform.order_by_c());
     bench("build_scenario_lp", p,
           [&] { (void)build_scenario_lp(platform, scenario); });
-    bench("build_scenario_lp_double", p, batched([&] {
+    bench("build_scenario_lp_double", p, batched(kDoubleLpBatch, [&] {
             (void)build_scenario_lp_double(platform, scenario);
           }));
   }
 
   // DES throughput: engine event dispatch and a full protocol execution.
+  // Anchor batches: an engine_events sample dispatches at least 20,000
+  // events, a des_execute sample runs 1,000 executions, and a gemm sample
+  // does the flops of one n = 128 call.
   for (const std::size_t events :
        options.quick ? std::vector<std::size_t>{1000}
                      : std::vector<std::size_t>{1000, 100000}) {
-    bench("engine_events", events, [&] {
-      sim::Engine engine;
-      std::size_t fired = 0;
-      for (std::size_t i = 0; i < events; ++i) {
-        engine.schedule_at(static_cast<double>(i), [&fired] { ++fired; });
-      }
-      engine.run();
-    });
+    const int runs =
+        static_cast<int>(std::max<std::size_t>(1, 20000 / events));
+    bench("engine_events", events, batched(runs, [&] {
+            sim::Engine engine;
+            std::size_t fired = 0;
+            for (std::size_t i = 0; i < events; ++i) {
+              engine.schedule_at(static_cast<double>(i),
+                                 [&fired] { ++fired; });
+            }
+            engine.run();
+          }));
   }
   for (const std::size_t p :
        options.quick ? std::vector<std::size_t>{4, 16}
@@ -659,8 +666,9 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     const SolveResult sol = SolverRegistry::instance().run("inc_c", request);
     const Scenario scenario = sol.solution.scenario;
     const std::vector<double> alpha = sol.solution.alpha_double();
-    bench("des_execute", p,
-          [&] { (void)sim::execute(platform, scenario, alpha); });
+    bench("des_execute", p, batched(1000, [&] {
+            (void)sim::execute(platform, scenario, alpha);
+          }));
   }
 
   // The matrix application's compute kernel.
@@ -671,7 +679,8 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
     rt::Matrix a(n), b(n), c(n);
     a.fill_random(rng);
     b.fill_random(rng);
-    bench("gemm", n, [&] { rt::gemm(a, b, c); });
+    const int calls = static_cast<int>((128 / n) * (128 / n) * (128 / n));
+    bench("gemm", n, batched(calls, [&] { rt::gemm(a, b, c); }));
   }
 
   // The cluster wire layer: encode + decode throughput of the largest
@@ -762,7 +771,7 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
        options.quick ? std::vector<std::size_t>{4}
                      : std::vector<std::size_t>{4, 8, 12}) {
     const StarPlatform platform = platform_for(p);
-    bench("affine_fast_lp", p, batched([&] {
+    bench("affine_fast_lp", p, batched(kDoubleLpBatch, [&] {
             (void)solve_affine_fifo_fast(platform, all_workers(platform),
                                          affine_costs);
           }));
@@ -777,8 +786,10 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
           /*time_budget_seconds=*/0.0, /*use_fast_lp=*/true);
     });
   }
-  // The sweeps' own selection jobs: a Precision::Fast request with linear
-  // costs through the registry, as a micro_solvers grid cell runs it.
+  // The sweeps' own selection and search jobs: Precision::Fast requests
+  // with linear costs through the registry, as a micro_solvers grid cell
+  // runs them.  affine_subset, local_search and brute_force run their
+  // parts on free pool lanes, so their times depend on the core count.
   if (!options.quick) {
     SolveRequest request;
     request.platform = platform_for(12);
@@ -788,6 +799,14 @@ void run_micro(const ExperimentSpec& spec, const RunOptions& options,
         (void)SolverRegistry::instance().run(solver, request);
       });
     }
+    bench("local_search_fast", 12, [&] {
+      (void)SolverRegistry::instance().run("local_search", request);
+    });
+    // One p = 4 search takes under the gate's 1 ms floor: time 10.
+    request.platform = platform_for(4);
+    bench("brute_force_fast", 4, batched(10, [&] {
+            (void)SolverRegistry::instance().run("brute_force", request);
+          }));
   }
   // The warm-start substrate: the Gray-code subset chain with and without
   // basis reuse (counters expose the pivot ledger), an optimal-basis warm

@@ -55,6 +55,37 @@ struct WarmInfo {
   std::size_t crash_pivots = 0;  ///< refactorization pivots spent crashing
 };
 
+/// Dense row kernels of the double pivot: `row[j] *= factor` and
+/// `target[j] -= factor * source[j]` for j in [0, width).  They run in
+/// blocks of kRowBlock entries, whose fixed-count inner loops vectorize at
+/// -O2 (GCC's very-cheap cost model rejects a loop that needs an alias
+/// check or an epilogue: the restrict-qualified rows need no check, and a
+/// block needs no epilogue), and end in a scalar tail.  Every entry still
+/// gets the same one multiply (and one subtract), so the bits are those of
+/// the plain loop.
+inline constexpr std::size_t kRowBlock = 4;
+
+template <class T>
+void scale_row(T* __restrict row, std::size_t width, T factor) {
+  std::size_t j = 0;
+  for (; j + kRowBlock <= width; j += kRowBlock) {
+    for (std::size_t k = 0; k < kRowBlock; ++k) row[j + k] *= factor;
+  }
+  for (; j < width; ++j) row[j] *= factor;
+}
+
+template <class T>
+void sub_scaled_row(T* __restrict target, const T* __restrict source,
+                    std::size_t width, T factor) {
+  std::size_t j = 0;
+  for (; j + kRowBlock <= width; j += kRowBlock) {
+    for (std::size_t k = 0; k < kRowBlock; ++k) {
+      target[j + k] -= factor * source[j + k];
+    }
+  }
+  for (; j < width; ++j) target[j] -= factor * source[j];
+}
+
 /// Result of a solve.  `values` has one entry per structural variable; a
 /// row's slack at the optimum is a function of them (`LpProblem::row_slack`).
 /// `basic_structurals` (sorted) is the warm-start seed for a neighboring
@@ -489,15 +520,16 @@ class Simplex {
   }
 
   /// The same pivot with no per-entry zero test and no `j == col` test in
-  /// its three row loops, so they compile to straight-line vector code.
+  /// its three row loops, so they run as the vector row kernels above.
   /// The pivot column's entries come out as 1 - 1 and f - f * 1, both
   /// overwritten after the loop as before; each factor is copied first,
-  /// because the loop now writes the entry the eta cache points at.
+  /// because the loop now writes the entry the eta cache points at.  The
+  /// rows are distinct vectors, so the kernels' restrict contract holds.
   void pivot_without_tests(std::size_t row, std::size_t col) {
     T* const prow = tab_[row].data();
     const std::size_t width = tab_[row].size();
     const T inv = T{1} / prow[col];
-    for (std::size_t j = 0; j < width; ++j) prow[j] *= inv;
+    scale_row(prow, width, inv);
     rhs_[row] *= inv;
     prow[col] = T{1};  // kill residual rounding
     for (std::size_t i = 0; i < tab_.size(); ++i) {
@@ -505,14 +537,14 @@ class Simplex {
       const T factor = *eta_[i];
       if (P::is_zero(factor)) continue;
       T* const trow = tab_[i].data();
-      for (std::size_t j = 0; j < width; ++j) trow[j] -= factor * prow[j];
+      sub_scaled_row(trow, prow, width, factor);
       rhs_[i] -= factor * rhs_[row];
       trow[col] = T{};
     }
     const T rfactor = reduced_[col];
     if (!P::is_zero(rfactor)) {
       T* const reduced = reduced_.data();
-      for (std::size_t j = 0; j < width; ++j) reduced[j] -= rfactor * prow[j];
+      sub_scaled_row(reduced, prow, width, rfactor);
       reduced[col] = T{};
       objective_value_ += rfactor * rhs_[row];
     }

@@ -9,6 +9,18 @@
 // state (the limb arena, the malloc cache, one tracer lane per helper)
 // warm instead of paying a spawn and join per call.
 //
+// Nested calls.  A call made from inside another call's `body` is nested
+// beneath it, and runs on at most as many lanes as the call it runs
+// inside; a call that runs inline (one lane) runs every call nested in
+// it inline too.  A call that starts while every lane is busy stays open
+// while it has unclaimed indices and a free lane, and lanes that run out
+// of work join it:
+//   * a helper that finishes its call joins the oldest open call, of any
+//     caller, before it parks;
+//   * a caller waiting for its own helpers joins only calls nested
+//     beneath its own call (the work those helpers wait on), never an
+//     unrelated one, so no caller waits behind another caller's job.
+//
 // Fork safety: a `pthread_atfork` prepare handler joins every helper
 // before `fork()` and both processes respawn them lazily, so no helper
 // thread is alive across a fork.  Forking from inside a `body` is not
@@ -25,13 +37,14 @@ namespace dlsched {
 [[nodiscard]] std::size_t lane_count(std::size_t requested,
                                      std::size_t items) noexcept;
 
-/// Runs `body(i)` once for every i in [0, count) across `lanes` lanes (the
-/// caller plus up to `lanes - 1` pooled helpers) and returns when every
-/// index has finished.  Indices are claimed in increasing order; which
-/// lane runs which index is unspecified.  With `lanes <= 1` or `count <= 1`
-/// the loop runs inline on the caller.  When a `body` call throws, no
-/// further indices are handed out and the first exception is rethrown to
-/// the caller once the running ones have finished.
+/// Runs `body(i)` once for every i in [0, count) across up to `lanes`
+/// lanes (the caller plus pooled helpers) and returns when every index
+/// has finished.  Indices are claimed in increasing order; which lane
+/// runs which index is unspecified.  With `lanes <= 1` or `count <= 1`,
+/// or when nested in a one-lane call, the loop runs inline on the caller.
+/// When a `body` call throws, no further indices are handed out and the
+/// first exception is rethrown to the caller once the running ones have
+/// finished.
 void fan_out(std::size_t count, std::size_t lanes,
              const std::function<void(std::size_t)>& body);
 

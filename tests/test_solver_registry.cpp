@@ -9,11 +9,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "affine/selection.hpp"
+#include "core/brute_force.hpp"
+#include "core/local_search.hpp"
 #include "core/solver.hpp"
 #include "obs/trace.hpp"
 #include "platform/generators.hpp"
@@ -419,21 +426,14 @@ TEST(SolvePool, ConcurrentCallersGetTheSerialOutcomes) {
   }
 }
 
-TEST(SolvePool, ForkedChildRunsAPooledBatch) {
-  const std::vector<BatchJob> jobs = pool_jobs(8, 42);
-  const std::vector<BatchOutcome> serial = solve_batch(jobs, 1);
-  ASSERT_TRUE(same_answers(solve_batch(jobs, 4), serial));
-  ASSERT_GT(fan_out_helpers(), 0u);  // the pool is up before the fork
-
+/// Runs `check` in a forked child, whose pool starts without helpers, and
+/// reports its verdict.  A child that hangs is killed after 60 s and fails
+/// the test instead of stalling the suite.
+::testing::AssertionResult in_forked_child(
+    const std::function<bool()>& check) {
   const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // No helper survived the fork; the child's pool respawns its own.
-    const bool ok = fan_out_helpers() == 0 &&
-                    same_answers(solve_batch(jobs, 4), serial);
-    ::_exit(ok ? 0 : 1);
-  }
-  // A hang in the child fails the test instead of stalling the suite.
+  if (pid < 0) return ::testing::AssertionFailure() << "fork failed";
+  if (pid == 0) ::_exit(check() ? 0 : 1);
   int status = 0;
   pid_t done = 0;
   const auto deadline =
@@ -445,11 +445,25 @@ TEST(SolvePool, ForkedChildRunsAPooledBatch) {
   if (done == 0) {
     ::kill(pid, SIGKILL);
     (void)::waitpid(pid, &status, 0);
-    FAIL() << "forked child did not finish its batch within 60 s";
+    return ::testing::AssertionFailure()
+           << "forked child did not finish within 60 s";
   }
-  ASSERT_EQ(done, pid);
-  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  if (done != pid || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    return ::testing::AssertionFailure() << "child status " << status;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SolvePool, ForkedChildRunsAPooledBatch) {
+  const std::vector<BatchJob> jobs = pool_jobs(8, 42);
+  const std::vector<BatchOutcome> serial = solve_batch(jobs, 1);
+  ASSERT_TRUE(same_answers(solve_batch(jobs, 4), serial));
+  ASSERT_GT(fan_out_helpers(), 0u);  // the pool is up before the fork
+  EXPECT_TRUE(in_forked_child([&] {
+    // No helper survived the fork; the child's pool respawns its own.
+    return fan_out_helpers() == 0 &&
+           same_answers(solve_batch(jobs, 4), serial);
+  }));
   // The parent's helpers respawn too.
   EXPECT_TRUE(same_answers(solve_batch(jobs, 4), serial));
 }
@@ -504,6 +518,298 @@ TEST(FanOut, LaneCountResolvesHardwareAndCaps) {
   EXPECT_EQ(lane_count(5, 0), 1u);
   EXPECT_GE(lane_count(0, 1000), 1u);
   EXPECT_EQ(lane_count(0, 1), 1u);
+}
+
+TEST(FanOut, NestedCallsRunEveryIndexExactlyOnce) {
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    std::vector<std::atomic<int>> middle(5 * 7);
+    std::vector<std::atomic<int>> deep(5 * 7 * 3);
+    fan_out(5, lanes, [&](std::size_t i) {
+      fan_out(7, lanes, [&](std::size_t j) {
+        ++middle[i * 7 + j];
+        fan_out(3, lanes, [&](std::size_t k) { ++deep[(i * 7 + j) * 3 + k]; });
+      });
+    });
+    EXPECT_TRUE(std::all_of(middle.begin(), middle.end(),
+                            [](const std::atomic<int>& n) { return n == 1; }))
+        << lanes;
+    EXPECT_TRUE(std::all_of(deep.begin(), deep.end(),
+                            [](const std::atomic<int>& n) { return n == 1; }))
+        << lanes;
+  }
+}
+
+/// Collects the threads that run a call's bodies.
+class ThreadLog {
+ public:
+  void record() {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    threads_.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> take() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(threads_, {});
+  }
+
+ private:
+  std::mutex mutex_;
+  std::set<std::thread::id> threads_;
+};
+
+TEST(FanOut, NestedCallsKeepTheLanesOfTheCallTheyRunIn) {
+  const std::set<std::thread::id> caller{std::this_thread::get_id()};
+  ThreadLog log;
+  const auto nested = [&] {
+    fan_out(16, 4, [&](std::size_t) { log.record(); });
+  };
+  // Inside a one-lane call, every nested call runs on the caller.
+  fan_out(3, 1, [&](std::size_t) { nested(); });
+  EXPECT_EQ(log.take(), caller);
+  // So inside a one-thread batch (the hook runs in the batch's body).
+  (void)solve_batch(pool_jobs(6, 44), 1,
+                    [&](const BatchProgress&, const BatchOutcome&) {
+                      nested();
+                      return true;
+                    });
+  EXPECT_EQ(log.take(), caller);
+  // Inside a two-lane call, each nested call uses at most two threads.
+  ThreadLog logs[2];
+  fan_out(2, 2, [&](std::size_t i) {
+    fan_out(16, 4, [&](std::size_t) { logs[i].record(); });
+  });
+  for (ThreadLog& each : logs) EXPECT_LE(each.take().size(), 2u);
+}
+
+TEST(FanOut, AnIdleLaneJoinsANestedCall) {
+  // In a fresh pool the outer call's one helper is the only other lane,
+  // and it is busy when body 0 opens its nested call.  Body 1 returns at
+  // once; its lane then joins the nested call.
+  EXPECT_TRUE(in_forked_child([] {
+    ThreadLog log;
+    fan_out(2, 2, [&](std::size_t i) {
+      if (i != 0) return;
+      fan_out(16, 4, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        log.record();
+      });
+    });
+    return log.take().size() == 2;
+  }));
+}
+
+TEST(FanOut, ANestedFailureReachesTheOuterCaller) {
+  EXPECT_THROW(fan_out(4, 4,
+                       [&](std::size_t i) {
+                         fan_out(8, 4, [&](std::size_t j) {
+                           std::this_thread::sleep_for(
+                               std::chrono::microseconds(200));
+                           if (i == 2 && j == 5) {
+                             throw std::runtime_error("nested 2/5");
+                           }
+                         });
+                       }),
+               std::runtime_error);
+  // The pool is healthy afterwards.
+  std::atomic<std::size_t> after{0};
+  fan_out(16, 4, [&](std::size_t) {
+    fan_out(4, 4, [&](std::size_t) { ++after; });
+  });
+  EXPECT_EQ(after.load(), 64u);
+}
+
+// ------------------------------------------------------- the searches' pin --
+
+/// Folds `word` into the running digest `h`.
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+std::uint64_t fold_double(std::uint64_t h, double value) {
+  return fold(h, std::bit_cast<std::uint64_t>(value));
+}
+
+std::uint64_t fold_rational(std::uint64_t h, const Rational& value) {
+  const std::string text = value.to_string();
+  for (const char ch : text) h = fold(h, static_cast<unsigned char>(ch));
+  return fold(h, text.size());
+}
+
+std::uint64_t fold_order(std::uint64_t h,
+                         const std::vector<std::size_t>& order) {
+  h = fold(h, order.size());
+  for (const std::size_t w : order) h = fold(h, w);
+  return h;
+}
+
+/// Status, throughput and alpha bits, scenario and pivots of a solve.
+std::uint64_t fold_solution(std::uint64_t h, const ScenarioSolutionD& s) {
+  h = fold(h, s.lp_feasible);
+  h = fold_double(h, s.throughput);
+  for (const double a : s.alpha) h = fold_double(h, a);
+  h = fold_order(fold_order(h, s.scenario.send_order), s.scenario.return_order);
+  return fold(h, s.lp_pivots);
+}
+
+std::uint64_t fold_solution(std::uint64_t h, const ScenarioSolution& s) {
+  h = fold(h, s.lp_feasible);
+  h = fold_rational(h, s.throughput);
+  for (const Rational& a : s.alpha) h = fold_rational(h, a);
+  h = fold_order(fold_order(h, s.scenario.send_order), s.scenario.return_order);
+  return fold(fold(h, s.lp_pivots), s.lp_warm_starts);
+}
+
+/// Latencies that make the subset scan's pruning floor move during the
+/// walk (on linear costs the primed floor is already the optimum).
+AffineCosts pin_latencies() {
+  AffineCosts costs;
+  costs.send_latency = 0.01;
+  costs.compute_latency = 0.002;
+  costs.return_latency = 0.005;
+  return costs;
+}
+
+/// The brute-force spaces the pin walks on a p-worker platform: FIFO-only
+/// and LIFO-only up to p = 6 (the exact search up to p = 5), the general
+/// p!^2 space up to p = 4.
+std::vector<BruteForceOptions> pin_spaces(std::size_t p) {
+  std::vector<BruteForceOptions> spaces;
+  if (p > 6) return spaces;
+  BruteForceOptions fifo;
+  fifo.fifo_only = true;
+  BruteForceOptions lifo;
+  lifo.lifo_only = true;
+  spaces = {fifo, lifo};
+  if (p <= 4) spaces.push_back(BruteForceOptions{});
+  return spaces;
+}
+
+TEST(SearchPin, SearchesReturnThePinnedAnswersAndCounters) {
+  // local_search_best_pair, both brute-force searches and the Fast affine
+  // subset scan over 220 random_star platforms (p 2-12, z 0.5 and 2.5):
+  // status, throughput and alpha bits, the scenario or participants, and
+  // every counter.  The digest was recorded with the serial searches,
+  // before they ran their parts on pool lanes.  On latency costs the
+  // block-wise subset scan may prune fewer subsets than the serial walk
+  // (a block sees only its own candidates' floors), so that one counter
+  // stays out of the digest.
+  const AffineCosts latencies = pin_latencies();
+  Rng rng(2022);
+  std::uint64_t digest = 0;
+  std::size_t searches = 0;
+  for (std::size_t p = 2; p <= 12; ++p) {
+    for (const double z : {0.5, 2.5}) {
+      for (std::size_t rep = 0; rep < 10; ++rep) {
+        const StarPlatform platform = gen::random_star(p, rng, z);
+        LocalSearchOptions local_options;
+        local_options.seed = 1 + rep;
+        const LocalSearchResult local =
+            local_search_best_pair(platform, local_options);
+        digest = fold_solution(digest, local.best);
+        digest = fold(fold(digest, local.lp_evaluations), local.ascents);
+        ++searches;
+        for (const BruteForceOptions& space :
+             rep < 3 ? pin_spaces(p) : std::vector<BruteForceOptions>{}) {
+          if (p <= 5) {
+            const BruteForceResult exact = brute_force_best(platform, space);
+            digest = fold_solution(digest, exact.best);
+            digest = fold(fold(digest, exact.scenarios_tried),
+                          exact.budget_exhausted);
+            ++searches;
+          }
+          const BruteForceResultD fast =
+              brute_force_best_double(platform, space);
+          digest = fold_solution(digest, fast.best);
+          digest = fold(fold(digest, fast.scenarios_tried),
+                        fast.budget_exhausted);
+          ++searches;
+        }
+        for (const AffineCosts& costs : {AffineCosts{}, latencies}) {
+          affine::AffineSubsetOptions subset_options;
+          subset_options.use_fast_lp = true;
+          const affine::AffineSelectionResult subset =
+              affine::solve_affine_fifo_best_subset(platform, costs,
+                                                    subset_options);
+          digest = fold(digest, subset.feasible);
+          digest = fold_solution(digest, subset.best);
+          digest = fold_order(digest, subset.participants);
+          for (const std::size_t counter :
+               {subset.subsets_tried, subset.exact_resolves,
+                subset.subsets_screened, subset.lp_pivots_total,
+                subset.lp_warm_starts, subset.lp_pivots_saved}) {
+            digest = fold(digest, counter);
+          }
+          if (!costs.is_affine()) digest = fold(digest, subset.subsets_pruned);
+          digest = fold(digest, subset.budget_exhausted);
+          ++searches;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(searches, 804u);
+  EXPECT_EQ(digest, 0x209d2d37f1d42a1aULL);
+}
+
+/// Everything about a search outcome that does not depend on timing or on
+/// the solving thread.
+void expect_same_search(const BatchOutcome& a, const BatchOutcome& b) {
+  const SolveResult& x = a.result;
+  const SolveResult& y = b.result;
+  EXPECT_EQ(a.solved, b.solved) << a.solver;
+  EXPECT_EQ(a.ok, b.ok) << a.solver;
+  EXPECT_EQ(x.solution.throughput, y.solution.throughput) << a.solver;
+  EXPECT_EQ(x.solution.alpha, y.solution.alpha) << a.solver;
+  EXPECT_EQ(x.solution.scenario.send_order, y.solution.scenario.send_order);
+  EXPECT_EQ(x.solution.scenario.return_order,
+            y.solution.scenario.return_order);
+  EXPECT_EQ(x.solution.lp_pivots, y.solution.lp_pivots) << a.solver;
+  EXPECT_EQ(x.participants, y.participants) << a.solver;
+  EXPECT_EQ(x.scenarios_tried, y.scenarios_tried) << a.solver;
+  EXPECT_EQ(x.lp_evaluations, y.lp_evaluations) << a.solver;
+  EXPECT_EQ(x.ascents, y.ascents) << a.solver;
+  EXPECT_EQ(x.lp_fallbacks, y.lp_fallbacks) << a.solver;
+  EXPECT_EQ(x.lp_warm_starts, y.lp_warm_starts) << a.solver;
+  EXPECT_EQ(x.lp_pivots_saved, y.lp_pivots_saved) << a.solver;
+  EXPECT_EQ(x.subsets_pruned, y.subsets_pruned) << a.solver;
+  EXPECT_EQ(x.subsets_screened, y.subsets_screened) << a.solver;
+  EXPECT_EQ(x.budget_exhausted, y.budget_exhausted) << a.solver;
+}
+
+TEST(SearchPin, SearchesAnswerTheSameOnOneLaneAndOnFour) {
+  // The searches through the registry, as a grid shard runs them: one
+  // thread (every nested call inline) against four.
+  const AffineCosts latencies = pin_latencies();
+  Rng rng(2023);
+  std::vector<BatchJob> jobs;
+  for (const std::size_t p : {3u, 4u, 6u, 8u, 12u}) {
+    for (const double z : {0.5, 2.5}) {
+      SolveRequest request;
+      request.platform = gen::random_star(p, rng, z);
+      request.precision = Precision::Fast;
+      request.seed = p;
+      jobs.push_back({"local_search", request});
+      for (const Precision precision : {Precision::Fast, Precision::Exact}) {
+        if (p > (precision == Precision::Fast ? 6u : 4u)) continue;
+        request.precision = precision;
+        if (p <= 4) jobs.push_back({"brute_force", request});
+        jobs.push_back({"brute_force_fifo", request});
+        jobs.push_back({"brute_force_lifo", request});
+      }
+      request.precision = Precision::Fast;
+      for (const AffineCosts& costs : {AffineCosts{}, latencies}) {
+        request.costs = costs;
+        jobs.push_back({"affine_subset", request});
+      }
+    }
+  }
+  const std::vector<BatchOutcome> one = solve_batch(jobs, 1);
+  const std::vector<BatchOutcome> four = solve_batch(jobs, 4);
+  ASSERT_EQ(one.size(), jobs.size());
+  ASSERT_EQ(four.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_TRUE(one[i].ok) << jobs[i].solver << ": " << one[i].error;
+    expect_same_search(one[i], four[i]);
+  }
 }
 
 }  // namespace
