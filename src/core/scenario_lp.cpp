@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <climits>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -16,18 +17,31 @@ struct Positions {
   std::vector<std::size_t> return_pos;  // platform id -> position in sigma_2
 };
 
-Positions index_positions(const StarPlatform& platform,
-                          const Scenario& scenario) {
-  Positions pos;
-  pos.send_pos.assign(platform.size(), SIZE_MAX);
-  pos.return_pos.assign(platform.size(), SIZE_MAX);
-  for (std::size_t k = 0; k < scenario.send_order.size(); ++k) {
-    pos.send_pos[scenario.send_order[k]] = k;
+/// Fills `pos` for `scenario`, reusing its storage, and checks the
+/// scenario on the way.  A worker out of range, listed twice, or returned
+/// without being sent is left to `Scenario::check` to report.
+void index_positions(const StarPlatform& platform, const Scenario& scenario,
+                     Positions& pos) {
+  const std::size_t n = platform.size();
+  const std::size_t q = scenario.send_order.size();
+  pos.send_pos.assign(n, SIZE_MAX);
+  pos.return_pos.assign(n, SIZE_MAX);
+  bool valid = scenario.return_order.size() == q;
+  for (std::size_t k = 0; valid && k < q; ++k) {
+    const std::size_t w = scenario.send_order[k];
+    valid = w < n && pos.send_pos[w] == SIZE_MAX;
+    if (valid) pos.send_pos[w] = k;
   }
-  for (std::size_t k = 0; k < scenario.return_order.size(); ++k) {
-    pos.return_pos[scenario.return_order[k]] = k;
+  for (std::size_t k = 0; valid && k < q; ++k) {
+    const std::size_t w = scenario.return_order[k];
+    valid = w < n && pos.return_pos[w] == SIZE_MAX &&
+            pos.send_pos[w] != SIZE_MAX;
+    if (valid) pos.return_pos[w] = k;
   }
-  return pos;
+  if (!valid) {
+    scenario.check(platform);  // throws, naming the fault
+    DLSCHED_FAIL("scenario does not match the platform");
+  }
 }
 
 void check_latency_sizes(const StarPlatform& platform,
@@ -75,17 +89,29 @@ double model_sum(double a, double b) {
   return (Rational::from_double(a) + Rational::from_double(b)).to_double();
 }
 
+/// What the double builder computes per scenario besides the LP itself.
+/// `solve_scenario_double` keeps one per thread, so its vectors keep
+/// their capacity from one solve to the next.
+struct DoubleBuildScratch {
+  Positions pos;
+  std::vector<double> c, w, d;             // platform constants, sigma_1
+  std::vector<std::size_t> return_rank;    // sigma_2 rank, sigma_1 order
+  std::vector<Rational> sent, returned;    // latency prefix/suffix sums
+};
+
 /// Right-hand sides `(1 - latency constants).to_double()` of the q chain
-/// rows (sigma_1 order) followed by the one-port row's.  The constants are
-/// exact prefix sums of the send latencies (sigma_1 order) and suffix sums
-/// of the return latencies (sigma_2 order); an exact sum does not depend
-/// on its order, so each matches the reference's per-row sum.
-std::vector<double> latency_rhs(const Scenario& scenario,
-                                const Positions& pos,
-                                const LpOptions& options) {
+/// rows (sigma_1 order) followed by the one-port row's, written to
+/// `rhs[0..q]`.  The constants are exact prefix sums of the send latencies
+/// (sigma_1 order) and suffix sums of the return latencies (sigma_2
+/// order); an exact sum does not depend on its order, so each matches the
+/// reference's per-row sum.
+void latency_rhs(const Scenario& scenario, const LpOptions& options,
+                 DoubleBuildScratch& scratch, std::vector<double>& rhs) {
   const std::size_t q = scenario.size();
-  std::vector<Rational> sent(q);      // sends up to sigma_1 position k
-  std::vector<Rational> returned(q);  // returns from sigma_2 position r on
+  std::vector<Rational>& sent = scratch.sent;          // up to position k
+  std::vector<Rational>& returned = scratch.returned;  // from position r on
+  sent.resize(q);
+  returned.resize(q);
   Rational total;
   for (std::size_t k = 0; k < q; ++k) {
     total += Rational::from_double(
@@ -99,16 +125,95 @@ std::vector<double> latency_rhs(const Scenario& scenario,
     returned[r] = total;
   }
   const Rational compute = Rational::from_double(options.compute_latency);
-  std::vector<double> rhs(q + 1);
+  rhs.resize(q + 1);
   for (std::size_t k = 0; k < q; ++k) {
-    const std::size_t worker = scenario.send_order[k];
     rhs[k] = (Rational(1) - (sent[k] + compute +
-                             returned[pos.return_pos[worker]]))
+                             returned[scratch.return_rank[k]]))
                  .to_double();
   }
   rhs[q] = q == 0 ? 1.0 : (Rational(1) - (sent[q - 1] + returned[0]))
                               .to_double();
-  return rhs;
+}
+
+/// Builds the double LP of `scenario` into `dense`, in place; see
+/// `build_scenario_lp_double`.
+void fill_scenario_lp_double(const StarPlatform& platform,
+                             const Scenario& scenario,
+                             const LpOptions& options,
+                             DoubleBuildScratch& scratch,
+                             lp::DenseLp<double>& dense) {
+  index_positions(platform, scenario, scratch.pos);
+  check_latency_sizes(platform, options);
+  const std::size_t q = scenario.size();
+
+  // Platform constants in sigma_1 order, as `densify` reads them back, and
+  // each position's rank in sigma_2.
+  std::vector<double>& c = scratch.c;
+  std::vector<double>& w = scratch.w;
+  std::vector<double>& d = scratch.d;
+  std::vector<std::size_t>& return_rank = scratch.return_rank;
+  c.resize(q);
+  w.resize(q);
+  d.resize(q);
+  return_rank.resize(q);
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::size_t id = scenario.send_order[k];
+    const Worker& worker = platform.worker(id);
+    c[k] = model_double(worker.c);
+    w[k] = model_double(worker.w);
+    d[k] = model_double(worker.d);
+    return_rank[k] = scratch.pos.return_pos[id];
+  }
+
+  const std::size_t m = q + (options.one_port ? 1 : 0);
+  dense.num_vars = q;
+  dense.objective.assign(q, 1.0);
+  dense.coefficients.resize(m * q);
+  dense.relations.assign(m, lp::Relation::LessEq);
+  if (options.is_affine()) {
+    latency_rhs(scenario, options, scratch, dense.rhs);
+    dense.rhs.resize(m);  // two-port: no one-port row
+  } else {
+    dense.rhs.assign(m, 1.0);
+  }
+  // (2a) chain row k: column j sums, in the reference's term order, c_j
+  // (sent no later than k), w_k (j = k) and d_j (returned no earlier).
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::span<double> row = dense.row(k);
+    for (std::size_t j = 0; j < q; ++j) {
+      double value = 0.0;
+      if (j <= k) value += c[j];
+      if (j == k) value += w[j];
+      if (return_rank[j] >= return_rank[k]) value += d[j];
+      row[j] = value;
+    }
+  }
+  // (2b) the one-port row: one exact c_k + d_k term per column.
+  if (options.one_port) {
+    const std::span<double> row = dense.row(q);
+    for (std::size_t k = 0; k < q; ++k) {
+      const Worker& worker = platform.worker(scenario.send_order[k]);
+      row[k] = model_sum(worker.c, worker.d);
+    }
+  }
+}
+
+/// Per-thread storage of `solve_scenario_double`: the LP it builds, the
+/// solver with its tableau, and the solution it reads back.  Each buffer
+/// keeps its capacity, so once a thread has solved its widest scenario no
+/// solve allocates here.  A solve uses the workspace from build to
+/// read-out and calls nothing in between that could solve another
+/// scenario on the same thread (no fan_out), so no two uses overlap.
+struct DoubleWorkspace {
+  DoubleBuildScratch scratch;
+  lp::DenseLp<double> lp;
+  lp::Simplex<double> simplex;
+  lp::Solution<double> solution;
+};
+
+DoubleWorkspace& double_workspace() noexcept {
+  thread_local DoubleWorkspace instance;
+  return instance;
 }
 
 }  // namespace
@@ -126,10 +231,10 @@ std::vector<std::size_t> warm_basis_for(
 lp::LpProblem build_scenario_lp(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
-  scenario.check(platform);
-  const std::size_t q = scenario.size();
-  const Positions pos = index_positions(platform, scenario);
+  Positions pos;
+  index_positions(platform, scenario, pos);
   check_latency_sizes(platform, options);
+  const std::size_t q = scenario.size();
   const Rational comp_lat = Rational::from_double(options.compute_latency);
   // Exact per-position latency constants in sigma_1 order (a latency, like
   // the linear coefficients, is paid by the *message*, so worker j's own
@@ -216,48 +321,9 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
 lp::DenseLp<double> build_scenario_lp_double(const StarPlatform& platform,
                                              const Scenario& scenario,
                                              const LpOptions& options) {
-  scenario.check(platform);
-  const std::size_t q = scenario.size();
-  const Positions pos = index_positions(platform, scenario);
-  check_latency_sizes(platform, options);
-
-  // Platform constants in sigma_1 order, as `densify` reads them back, and
-  // each position's rank in sigma_2.
-  std::vector<double> c(q), w(q), d(q), one_port(q);
-  std::vector<std::size_t> return_rank(q);
-  for (std::size_t k = 0; k < q; ++k) {
-    const std::size_t id = scenario.send_order[k];
-    const Worker& worker = platform.worker(id);
-    c[k] = model_double(worker.c);
-    w[k] = model_double(worker.w);
-    d[k] = model_double(worker.d);
-    one_port[k] = model_sum(worker.c, worker.d);
-    return_rank[k] = pos.return_pos[id];
-  }
-  const std::vector<double> rhs =
-      options.is_affine() ? latency_rhs(scenario, pos, options)
-                          : std::vector<double>(q + 1, 1.0);
-
+  DoubleBuildScratch scratch;
   lp::DenseLp<double> dense;
-  dense.num_vars = q;
-  dense.objective.assign(q, 1.0);
-  // (2a) chain row k: column j sums, in the reference's term order, c_j
-  // (sent no later than k), w_k (j = k) and d_j (returned no earlier).
-  for (std::size_t k = 0; k < q; ++k) {
-    std::vector<double> row(q);
-    for (std::size_t j = 0; j < q; ++j) {
-      double value = 0.0;
-      if (j <= k) value += c[j];
-      if (j == k) value += w[j];
-      if (return_rank[j] >= return_rank[k]) value += d[j];
-      row[j] = value;
-    }
-    dense.add_row(std::move(row), lp::Relation::LessEq, rhs[k]);
-  }
-  // (2b) the one-port row: one exact c_k + d_k term per column.
-  if (options.one_port) {
-    dense.add_row(std::move(one_port), lp::Relation::LessEq, rhs[q]);
-  }
+  fill_scenario_lp_double(platform, scenario, options, scratch, dense);
   return dense;
 }
 
@@ -307,9 +373,11 @@ ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
 ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
                                         const Scenario& scenario,
                                         const LpOptions& options) {
-  const lp::DenseLp<double> dense =
-      build_scenario_lp_double(platform, scenario, options);
-  const lp::Solution<double> lp_solution = lp::Simplex<double>(dense).solve();
+  DoubleWorkspace& ws = double_workspace();
+  fill_scenario_lp_double(platform, scenario, options, ws.scratch, ws.lp);
+  ws.simplex.reset(ws.lp);
+  ws.simplex.solve_into(ws.solution);
+  const lp::Solution<double>& lp_solution = ws.solution;
   ScenarioSolutionD out;
   out.scenario = scenario;
   if (lp_solution.status == lp::Status::Infeasible) {

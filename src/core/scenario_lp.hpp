@@ -139,7 +139,9 @@ struct LpOptions {
                                               const Scenario& scenario);
 
 /// Double-precision variant for large sweeps (same model, simplex over
-/// doubles).  Returns platform-indexed alphas and the throughput.
+/// doubles).  Returns platform-indexed alphas and the throughput.  The LP
+/// is built and solved in a workspace each thread owns, so once a thread
+/// has solved its widest scenario, a solve allocates only the result.
 struct ScenarioSolutionD {
   double throughput = 0.0;
   std::vector<double> alpha;

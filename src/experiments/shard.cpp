@@ -141,12 +141,17 @@ std::vector<CompiledShard> plan_shards(const ExperimentSpec& spec) {
               }
             }
             id_key << "cell " << z_key(slat) << ' ' << z_key(rlat) << ' ';
+            // Every solver's job key is `solver \n request key`
+            // (`job_canonical_key`): serialize the request once per cell.
+            const std::string request_key =
+                request_canonical_key(cell.request);
             for (const std::string& solver : solvers) {
               if (!solver_objects.at(solver)->applicable(cell.request)) {
                 ++cell.skipped;
                 continue;
               }
-              std::string job_hash = job_hash_hex(solver, cell.request);
+              std::string job_hash =
+                  job_hash_from_key(solver + "\n" + request_key);
               id_key << job_hash << ' ';
               GridSlot slot;
               slot.z = z;

@@ -1,6 +1,7 @@
 #include "lp/bareiss.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/error.hpp"
@@ -185,7 +186,7 @@ bool BareissSimplex::optimum_is_unique() const {
 }
 
 void BareissSimplex::build_tableau() {
-  const std::size_t m = lp_.rows.size();
+  const std::size_t m = lp_.num_rows();
   std::size_t extra = 0;
   for (std::size_t i = 0; i < m; ++i) {
     if (lp_.relations[i] != Relation::Equal) ++extra;
@@ -209,8 +210,8 @@ void BareissSimplex::build_tableau() {
   // scale; slack/artificial entries are +-1 and contribute nothing.
   d0_ = 1;
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < lp_.num_vars; ++j) {
-      if (!lp_.rows[i][j].is_zero()) d0_ = lcm(d0_, lp_.rows[i][j].den());
+    for (const Rational& coefficient : lp_.row(i)) {
+      if (!coefficient.is_zero()) d0_ = lcm(d0_, coefficient.den());
     }
     if (!lp_.rhs[i].is_zero()) d0_ = lcm(d0_, lp_.rhs[i].den());
   }
@@ -227,9 +228,10 @@ void BareissSimplex::build_tableau() {
   std::size_t next_extra = lp_.num_vars;
   std::size_t next_art = first_artificial_;
   for (std::size_t i = 0; i < m; ++i) {
+    const std::span<const Rational> source = lp_.row(i);
     for (std::size_t j = 0; j < lp_.num_vars; ++j) {
-      if (lp_.rows[i][j].is_zero()) continue;
-      BigInt cell = scale_to_integer(lp_.rows[i][j], d0_);
+      if (source[j].is_zero()) continue;
+      BigInt cell = scale_to_integer(source[j], d0_);
       if (flip[i] < 0) cell.negate();
       tab_[i][j] = std::move(cell);
     }
@@ -255,7 +257,7 @@ void BareissSimplex::build_tableau() {
 }
 
 void BareissSimplex::load_objective(bool phase1) {
-  const std::size_t total = tab_.empty() ? 0 : tab_[0].size();
+  const std::size_t total = forbidden_.size();
   // Integer objective scale: phase-1 costs are 0/-1 already; phase 2
   // clears the rational objective's denominators.
   s_obj_ = 1;

@@ -1,5 +1,6 @@
 #include "lp/problem.hpp"
 
+#include <span>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -60,12 +61,14 @@ DenseLp<T> LpProblem::densify() const {
   for (std::size_t j = 0; j < dense.num_vars; ++j) {
     dense.objective[j] = convert<T>(objective_[j]);
   }
-  for (const Row& row : rows_) {
-    std::vector<T> coefficients(dense.num_vars, T{});
-    for (const Term& t : row.terms) {
+  dense.coefficients.assign(rows_.size() * dense.num_vars, T{});
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const std::span<T> coefficients = dense.row(i);
+    for (const Term& t : rows_[i].terms) {
       coefficients[t.var] += convert<T>(t.coef);
     }
-    dense.add_row(std::move(coefficients), row.relation, convert<T>(row.rhs));
+    dense.relations.push_back(rows_[i].relation);
+    dense.rhs.push_back(convert<T>(rows_[i].rhs));
   }
   return dense;
 }

@@ -8,10 +8,18 @@
 //
 // Standard form handled: maximize c^T x  s.t.  A x {<=,>=,==} b,  x >= 0.
 // Rows with negative b are flipped on entry, so any sign of b is accepted.
+//
+// The tableau is one flat row-major buffer with a fixed row stride, so a
+// column entry is `tab_[i * stride_ + col]`.  A solver can be `reset` onto
+// another LP and solved again into a caller-held `Solution`: every buffer
+// keeps its capacity, so once a solver has seen its widest LP a solve
+// allocates nothing.  `solve_scenario_double` keeps one such solver per
+// thread (core/scenario_lp.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,34 +64,31 @@ struct WarmInfo {
 };
 
 /// Dense row kernels of the double pivot: `row[j] *= factor` and
-/// `target[j] -= factor * source[j]` for j in [0, width).  They run in
-/// blocks of kRowBlock entries, whose fixed-count inner loops vectorize at
-/// -O2 (GCC's very-cheap cost model rejects a loop that needs an alias
-/// check or an epilogue: the restrict-qualified rows need no check, and a
-/// block needs no epilogue), and end in a scalar tail.  Every entry still
-/// gets the same one multiply (and one subtract), so the bits are those of
-/// the plain loop.
+/// `target[j] -= factor * source[j]` for j in [0, width).  `width` is a
+/// multiple of kRowBlock (the double tableau pads its rows to one; see
+/// `Simplex::stride_`), so the loops run in whole blocks, whose
+/// fixed-count inner loops vectorize at -O2 (GCC's very-cheap cost model
+/// rejects a loop that needs an alias check or an epilogue: the
+/// restrict-qualified rows need no check, and a block needs no epilogue).
+/// Every entry still gets the same one multiply (and one subtract), so the
+/// bits are those of the plain loop.
 inline constexpr std::size_t kRowBlock = 4;
 
 template <class T>
 void scale_row(T* __restrict row, std::size_t width, T factor) {
-  std::size_t j = 0;
-  for (; j + kRowBlock <= width; j += kRowBlock) {
+  for (std::size_t j = 0; j < width; j += kRowBlock) {
     for (std::size_t k = 0; k < kRowBlock; ++k) row[j + k] *= factor;
   }
-  for (; j < width; ++j) row[j] *= factor;
 }
 
 template <class T>
 void sub_scaled_row(T* __restrict target, const T* __restrict source,
                     std::size_t width, T factor) {
-  std::size_t j = 0;
-  for (; j + kRowBlock <= width; j += kRowBlock) {
+  for (std::size_t j = 0; j < width; j += kRowBlock) {
     for (std::size_t k = 0; k < kRowBlock; ++k) {
       target[j + k] -= factor * source[j + k];
     }
   }
-  for (; j < width; ++j) target[j] -= factor * source[j];
 }
 
 /// Result of a solve.  `values` has one entry per structural variable; a
@@ -138,19 +143,33 @@ struct ScalarPolicy<double> {
   static void sub_mul(double& target, double a, double b) { target -= a * b; }
 };
 
-/// Dense standard-form LP instance, scalar type T.
+/// Dense standard-form LP instance, scalar type T.  The coefficients are
+/// one row-major block of `num_vars` entries per row, so an instance that
+/// is refilled in place keeps its storage (see `solve_scenario_double`).
 template <class T>
 struct DenseLp {
   std::size_t num_vars = 0;
-  std::vector<std::vector<T>> rows;    ///< coefficient rows, size num_vars each
-  std::vector<Relation> relations;
+  std::vector<T> coefficients;         ///< row-major, num_vars per row
+  std::vector<Relation> relations;     ///< one per row
   std::vector<T> rhs;
   std::vector<T> objective;            ///< size num_vars; maximized
 
-  void add_row(std::vector<T> coefficients, Relation relation, T bound) {
-    DLSCHED_EXPECT(coefficients.size() == num_vars,
+  [[nodiscard]] std::size_t num_rows() const noexcept {
+    return relations.size();
+  }
+  [[nodiscard]] std::span<T> row(std::size_t i) {
+    return std::span<T>(coefficients).subspan(i * num_vars, num_vars);
+  }
+  [[nodiscard]] std::span<const T> row(std::size_t i) const {
+    return std::span<const T>(coefficients).subspan(i * num_vars, num_vars);
+  }
+
+  void add_row(const std::vector<T>& row_coefficients, Relation relation,
+               T bound) {
+    DLSCHED_EXPECT(row_coefficients.size() == num_vars,
                    "row width does not match variable count");
-    rows.push_back(std::move(coefficients));
+    coefficients.insert(coefficients.end(), row_coefficients.begin(),
+                        row_coefficients.end());
     relations.push_back(relation);
     rhs.push_back(std::move(bound));
   }
@@ -160,12 +179,27 @@ struct DenseLp {
 template <class T>
 class Simplex {
  public:
-  explicit Simplex(const DenseLp<T>& lp) : lp_(lp) {
+  /// A solver with no LP yet: `reset` points it at one.
+  Simplex() = default;
+  explicit Simplex(const DenseLp<T>& lp) { reset(lp); }
+
+  /// Points the solver at `lp`, which must outlive the next solve.  The
+  /// tableau keeps its buffers, so solving LPs no wider than the widest
+  /// one seen before allocates nothing.
+  void reset(const DenseLp<T>& lp) {
     DLSCHED_EXPECT(lp.objective.size() == lp.num_vars,
                    "objective width does not match variable count");
+    lp_ = &lp;
   }
 
-  [[nodiscard]] Solution<T> solve() { return solve_internal(nullptr, nullptr); }
+  [[nodiscard]] Solution<T> solve() {
+    Solution<T> out;
+    solve_into(out);
+    return out;
+  }
+
+  /// Cold solve into `out`, whose vectors keep their capacity.
+  void solve_into(Solution<T>& out) { solve_internal(nullptr, nullptr, out); }
 
   /// Warm-started solve: crash the seeded basis with one refactorization
   /// instead of a cold Phase I, then run Bland Phase II.  Falls back to the
@@ -176,13 +210,17 @@ class Simplex {
   /// unseeded solve; only `pivots` may differ.
   [[nodiscard]] Solution<T> solve(const WarmBasis& seed,
                                   WarmInfo* info = nullptr) {
-    return solve_internal(&seed, info);
+    Solution<T> out;
+    solve_internal(&seed, info, out);
+    return out;
   }
 
  private:
   using P = ScalarPolicy<T>;
 
-  Solution<T> solve_internal(const WarmBasis* seed, WarmInfo* info) {
+  void solve_internal(const WarmBasis* seed, WarmInfo* info,
+                      Solution<T>& out) {
+    DLSCHED_EXPECT(lp_ != nullptr, "simplex: no LP to solve");
     pivots_ = 0;
     if (seed != nullptr && !seed->structurals.empty()) {
       if (info != nullptr) info->attempted = true;
@@ -197,58 +235,82 @@ class Simplex {
             info->accepted = true;
             info->crash_pivots = crash_pivots;
           }
-          Solution<T> out;
-          out.status = Status::Unbounded;
-          out.pivots = pivots_;
-          return out;
+          report(Status::Unbounded, out);
+          return;
         }
         if (optimum_is_unique()) {
           if (info != nullptr) {
             info->accepted = true;
             info->crash_pivots = crash_pivots;
           }
-          return extract_optimal();
+          extract_optimal(out);
+          return;
         }
       }
     }
-    return solve_cold();
+    solve_cold(out);
   }
 
-  Solution<T> solve_cold() {
+  void solve_cold(Solution<T>& out) {
     build_tableau();
-    Solution<T> out;
     if (has_artificials_) {
       run_phase(/*phase1=*/true);
       if (P::is_negative(objective_value_)) {
-        out.status = Status::Infeasible;
-        out.pivots = pivots_;
-        return out;
+        report(Status::Infeasible, out);
+        return;
       }
       expel_basic_artificials();
     }
-    const bool bounded = run_phase(/*phase1=*/false);
-    if (!bounded) {
-      out.status = Status::Unbounded;
-      out.pivots = pivots_;
-      return out;
+    if (!run_phase(/*phase1=*/false)) {
+      report(Status::Unbounded, out);
+      return;
     }
-    return extract_optimal();
+    extract_optimal(out);
   }
 
-  Solution<T> extract_optimal() {
-    Solution<T> out;
+  /// A solve that ended without an optimum: no objective, no values.
+  void report(Status status, Solution<T>& out) const {
+    out.status = status;
+    out.objective = T{};
+    out.values.clear();
+    out.basic_structurals.clear();
+    out.pivots = pivots_;
+  }
+
+  void extract_optimal(Solution<T>& out) const {
     out.status = Status::Optimal;
     out.pivots = pivots_;
     out.objective = objective_value_;
-    out.values.assign(lp_.num_vars, T{});
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
-      if (basis_[i] < lp_.num_vars) {
+    out.values.assign(lp_->num_vars, T{});
+    out.basic_structurals.clear();
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (basis_[i] < lp_->num_vars) {
         out.values[basis_[i]] = rhs_[i];
         out.basic_structurals.push_back(basis_[i]);
       }
     }
     std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
-    return out;
+  }
+
+  T* row(std::size_t i) { return tab_.data() + i * stride_; }
+  const T* row(std::size_t i) const { return tab_.data() + i * stride_; }
+
+  /// Min-ratio leaving row for entering column `col`, Bland tie-break on
+  /// the smallest basis variable index; `rows_` when no entry is positive.
+  std::size_t leaving_row(std::size_t col) const {
+    std::size_t leaving = rows_;
+    T best_ratio{};
+    for (std::size_t i = 0; i < rows_; ++i) {
+      const T& coeff = row(i)[col];
+      if (!P::is_positive(coeff)) continue;
+      T ratio = rhs_[i] / coeff;
+      if (leaving == rows_ || ratio < best_ratio ||
+          (!(best_ratio < ratio) && basis_[i] < basis_[leaving])) {
+        leaving = i;
+        best_ratio = ratio;
+      }
+    }
+    return leaving;
   }
 
   /// Enters the seeded structural columns into the basis, in ascending
@@ -266,12 +328,12 @@ class Simplex {
   bool try_crash(const WarmBasis& seed) {
     // pivot() maintains the reduced-cost row; no phase objective is loaded
     // during the crash, so park a zero row there (run_phase reloads it).
-    reduced_.assign(forbidden_.size(), T{});
+    reduced_.assign(stride_, T{});
     objective_value_ = T{};
     std::vector<std::size_t> order = seed.structurals;
     std::sort(order.begin(), order.end());
     for (std::size_t col : order) {
-      if (col >= lp_.num_vars) return false;  // malformed seed
+      if (col >= lp_->num_vars) return false;  // malformed seed
       bool already_basic = false;
       for (std::size_t b : basis_) {
         if (b == col) {
@@ -280,31 +342,19 @@ class Simplex {
         }
       }
       if (already_basic) continue;
-      capture_column(col);
-      std::size_t leaving = tab_.size();
-      T best_ratio{};
-      for (std::size_t i = 0; i < tab_.size(); ++i) {
-        const T& coeff = *eta_[i];
-        if (!P::is_positive(coeff)) continue;
-        T ratio = rhs_[i] / coeff;
-        if (leaving == tab_.size() || ratio < best_ratio ||
-            (!(best_ratio < ratio) && basis_[i] < basis_[leaving])) {
-          leaving = i;
-          best_ratio = ratio;
-        }
-      }
-      if (leaving == tab_.size()) return false;  // column cannot enter
+      const std::size_t leaving = leaving_row(col);
+      if (leaving == rows_) return false;  // column cannot enter
       pivot(leaving, col);
     }
     // Success means the whole seed made it in: a displaced seeded column
     // stays out (one pass, no retries), which is exactly how an infeasible
     // seed manifests when every pivot is feasibility-preserving.
-    std::vector<bool> basic(forbidden_.size(), false);
+    std::vector<bool> basic(width_, false);
     for (std::size_t b : basis_) basic[b] = true;
     for (std::size_t col : order) {
       if (!basic[col]) return false;
     }
-    for (std::size_t i = 0; i < tab_.size(); ++i) {
+    for (std::size_t i = 0; i < rows_; ++i) {
       if (P::is_negative(rhs_[i])) return false;  // double-drift tripwire
       if (basis_[i] >= first_artificial_ && !P::is_zero(rhs_[i])) return false;
     }
@@ -320,7 +370,7 @@ class Simplex {
   /// cold one.  Conservative by design -- a degenerate dual triggers a
   /// cold fallback even when the optimum happens to be unique.
   bool optimum_is_unique() const {
-    std::vector<bool> basic(reduced_.size(), false);
+    std::vector<bool> basic(width_, false);
     for (std::size_t b : basis_) basic[b] = true;
     for (std::size_t j = 0; j < first_artificial_; ++j) {
       if (!basic[j] && P::is_zero(reduced_[j])) return false;
@@ -328,59 +378,63 @@ class Simplex {
     return true;
   }
 
+  /// A row with a negative right-hand side is negated on entry, which
+  /// swaps its <= and >=.
+  Relation normalized_relation(std::size_t i) const {
+    const Relation relation = lp_->relations[i];
+    if (!P::is_negative(lp_->rhs[i])) return relation;
+    if (relation == Relation::LessEq) return Relation::GreaterEq;
+    if (relation == Relation::GreaterEq) return Relation::LessEq;
+    return relation;
+  }
+
   void build_tableau() {
-    const std::size_t m = lp_.rows.size();
+    const DenseLp<T>& lp = *lp_;
+    const std::size_t m = lp.num_rows();
     // Column layout: [structural | slack/surplus | artificial].
     std::size_t extra = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (lp_.relations[i] != Relation::Equal) ++extra;
-    }
-    // Count artificials after normalizing row signs.
-    std::vector<int> flip(m, 1);
-    std::vector<Relation> rel = lp_.relations;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (P::is_negative(lp_.rhs[i])) {
-        flip[i] = -1;
-        if (rel[i] == Relation::LessEq) rel[i] = Relation::GreaterEq;
-        else if (rel[i] == Relation::GreaterEq) rel[i] = Relation::LessEq;
-      }
-    }
     std::size_t num_art = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      if (rel[i] != Relation::LessEq) ++num_art;
+      if (lp.relations[i] != Relation::Equal) ++extra;
+      if (normalized_relation(i) != Relation::LessEq) ++num_art;
     }
     has_artificials_ = num_art > 0;
-
-    const std::size_t total = lp_.num_vars + extra + num_art;
-    first_artificial_ = lp_.num_vars + extra;
-    // A warm fallback rebuilds the tableau in place; the eta cache would
-    // otherwise hold dangling pointers that could alias the new storage.
-    eta_.clear();
-    tab_.assign(m, std::vector<T>(total, T{}));
+    rows_ = m;
+    width_ = lp.num_vars + extra + num_art;
+    first_artificial_ = lp.num_vars + extra;
+    // The double pivot's row kernels run over whole blocks: pad each row
+    // to a multiple of kRowBlock.  The padding starts at zero, and the
+    // kernels only ever write zero - f * 0 or 0 * f there; nothing reads it.
+    stride_ = P::kSkipZeroEntries
+                  ? width_
+                  : (width_ + kRowBlock - 1) / kRowBlock * kRowBlock;
+    tab_.assign(m * stride_, T{});
     rhs_.resize(m);
     basis_.assign(m, 0);
-    forbidden_.assign(total, false);
 
-    std::size_t next_extra = lp_.num_vars;
+    std::size_t next_extra = lp.num_vars;
     std::size_t next_art = first_artificial_;
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < lp_.num_vars; ++j) {
-        tab_[i][j] = flip[i] < 0 ? T{} - lp_.rows[i][j] : lp_.rows[i][j];
+      const bool flip = P::is_negative(lp.rhs[i]);
+      const std::span<const T> source = lp.row(i);
+      T* const target = row(i);
+      for (std::size_t j = 0; j < lp.num_vars; ++j) {
+        target[j] = flip ? T{} - source[j] : source[j];
       }
-      rhs_[i] = flip[i] < 0 ? T{} - lp_.rhs[i] : lp_.rhs[i];
-      switch (rel[i]) {
+      rhs_[i] = flip ? T{} - lp.rhs[i] : lp.rhs[i];
+      switch (normalized_relation(i)) {
         case Relation::LessEq:
-          tab_[i][next_extra] = T{1};
+          target[next_extra] = T{1};
           basis_[i] = next_extra++;
           break;
         case Relation::GreaterEq:
-          tab_[i][next_extra] = T{} - T{1};
+          target[next_extra] = T{} - T{1};
           ++next_extra;
-          tab_[i][next_art] = T{1};
+          target[next_art] = T{1};
           basis_[i] = next_art++;
           break;
         case Relation::Equal:
-          tab_[i][next_art] = T{1};
+          target[next_art] = T{1};
           basis_[i] = next_art++;
           break;
       }
@@ -389,23 +443,22 @@ class Simplex {
 
   /// Recomputes the reduced-cost row for the given phase's objective.
   void load_objective(bool phase1) {
-    const std::size_t total = tab_.empty() ? 0 : tab_[0].size();
-    reduced_.assign(total, T{});
+    reduced_.assign(stride_, T{});
     objective_value_ = T{};
     auto cost_of = [&](std::size_t var) -> T {
       if (phase1) {
         return var >= first_artificial_ ? T{} - T{1} : T{};
       }
-      return var < lp_.num_vars ? lp_.objective[var] : T{};
+      return var < lp_->num_vars ? lp_->objective[var] : T{};
     };
-    for (std::size_t j = 0; j < total; ++j) reduced_[j] = cost_of(j);
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
+    for (std::size_t j = 0; j < width_; ++j) reduced_[j] = cost_of(j);
+    for (std::size_t i = 0; i < rows_; ++i) {
       const T cb = cost_of(basis_[i]);
       if (P::is_zero(cb)) continue;
-      const std::vector<T>& row = tab_[i];
-      for (std::size_t j = 0; j < total; ++j) {
-        if (P::is_skippable_zero(row[j])) continue;
-        P::sub_mul(reduced_[j], cb, row[j]);
+      const T* const source = row(i);
+      for (std::size_t j = 0; j < width_; ++j) {
+        if (P::is_skippable_zero(source[j])) continue;
+        P::sub_mul(reduced_[j], cb, source[j]);
       }
       objective_value_ += cb * rhs_[i];
     }
@@ -414,151 +467,114 @@ class Simplex {
   /// Runs one simplex phase; returns false iff unbounded (phase 2 only).
   bool run_phase(bool phase1) {
     load_objective(phase1);
-    if (!phase1) {
-      // Phase 2 must never re-enter an artificial column.
-      for (std::size_t j = first_artificial_; j < forbidden_.size(); ++j) {
-        forbidden_[j] = true;
-      }
-    }
-    const std::size_t iteration_cap =
-        10000 * (tab_.size() + forbidden_.size() + 1);
+    // Phase 2 must never re-enter an artificial column.
+    const std::size_t admissible = phase1 ? width_ : first_artificial_;
+    const std::size_t iteration_cap = 10000 * (rows_ + width_ + 1);
     for (std::size_t iter = 0; iter < iteration_cap; ++iter) {
       // Bland: entering column = smallest index with positive reduced cost.
-      std::size_t entering = reduced_.size();
-      for (std::size_t j = 0; j < reduced_.size(); ++j) {
-        if (!forbidden_[j] && P::is_positive(reduced_[j])) {
+      std::size_t entering = admissible;
+      for (std::size_t j = 0; j < admissible; ++j) {
+        if (P::is_positive(reduced_[j])) {
           entering = j;
           break;
         }
       }
-      if (entering == reduced_.size()) return true;  // optimal for this phase
-
-      // Capture the entering column (its eta form) once; the ratio test
-      // and the pivot's row updates both read from this cache instead of
-      // re-indexing the tableau per access.
-      capture_column(entering);
-
-      // Ratio test; Bland tie-break on the smallest basis variable index.
-      std::size_t leaving = tab_.size();
-      T best_ratio{};
-      for (std::size_t i = 0; i < tab_.size(); ++i) {
-        const T& coeff = *eta_[i];
-        if (!P::is_positive(coeff)) continue;
-        T ratio = rhs_[i] / coeff;
-        if (leaving == tab_.size() || ratio < best_ratio ||
-            (!(best_ratio < ratio) && basis_[i] < basis_[leaving])) {
-          leaving = i;
-          best_ratio = ratio;
-        }
-      }
-      if (leaving == tab_.size()) return false;  // unbounded direction
+      if (entering == admissible) return true;  // optimal for this phase
+      const std::size_t leaving = leaving_row(entering);
+      if (leaving == rows_) return false;  // unbounded direction
       pivot(leaving, entering);
     }
     DLSCHED_FAIL("simplex iteration cap exceeded (cycling?)");
   }
 
-  /// Points `eta_` at the given tableau column.  The pointers stay valid
-  /// across pivots (rows are mutated in place, never reallocated).
-  void capture_column(std::size_t col) {
-    eta_.resize(tab_.size());
-    for (std::size_t i = 0; i < tab_.size(); ++i) eta_[i] = &tab_[i][col];
-  }
-
-  /// Pivots on (row, col), reusing the eta cache when it already holds
-  /// this column (the run_phase loop captures it for the ratio test) and
-  /// re-capturing otherwise, so callers carry no temporal coupling.
-  /// The inner loops pre-test pivot-row entries for zero: after a few
-  /// pivots most tableau columns hold exact zeros (slack identity
-  /// sub-blocks), and skipping them avoids the whole scalar update --
-  /// which for Rational means skipping allocations and gcds, not just a
-  /// multiply.  Double pivots take `pivot_without_tests` instead.
-  void pivot(std::size_t row, std::size_t col) {
+  /// Pivots on (row, col).  The inner loops pre-test pivot-row entries for
+  /// zero: after a few pivots most tableau columns hold exact zeros (slack
+  /// identity sub-blocks), and skipping them avoids the whole scalar
+  /// update -- which for Rational means skipping allocations and gcds, not
+  /// just a multiply.  Double pivots take `pivot_without_tests` instead.
+  void pivot(std::size_t pivot_row, std::size_t col) {
     ++pivots_;
-    if (eta_.size() != tab_.size() || eta_[0] != &tab_[0][col]) {
-      capture_column(col);
-    }
     if constexpr (!P::kSkipZeroEntries) {
-      pivot_without_tests(row, col);
+      pivot_without_tests(pivot_row, col);
       return;
     }
-    std::vector<T>& prow = tab_[row];
+    T* const prow = row(pivot_row);
     const T inv = T{1} / prow[col];
-    for (auto& v : prow) {
-      if (!P::is_skippable_zero(v)) v *= inv;
+    for (std::size_t j = 0; j < width_; ++j) {
+      if (!P::is_skippable_zero(prow[j])) prow[j] *= inv;
     }
-    rhs_[row] *= inv;
-    prow[col] = T{1};  // kill residual rounding in the double instance
-    for (std::size_t i = 0; i < tab_.size(); ++i) {
-      if (i == row) continue;
-      // The eta cache aliases tab_[i][col]; the j == col entry is skipped
-      // in the loop and zeroed after the last `factor` read, so no copy of
-      // the factor is needed.
-      const T& factor = *eta_[i];
+    rhs_[pivot_row] *= inv;
+    prow[col] = T{1};
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (i == pivot_row) continue;
+      T* const trow = row(i);
+      // The factor is the row's own pivot-column entry: the j == col entry
+      // is skipped in the loop and zeroed after the last `factor` read, so
+      // no copy of the factor is needed.
+      const T& factor = trow[col];
       if (P::is_zero(factor)) continue;
-      std::vector<T>& trow = tab_[i];
-      for (std::size_t j = 0; j < trow.size(); ++j) {
+      for (std::size_t j = 0; j < width_; ++j) {
         if (j == col) continue;
         const T& pv = prow[j];
         if (P::is_skippable_zero(pv)) continue;
         P::sub_mul(trow[j], factor, pv);
       }
-      P::sub_mul(rhs_[i], factor, rhs_[row]);
+      P::sub_mul(rhs_[i], factor, rhs_[pivot_row]);
       trow[col] = T{};
     }
     const T rfactor = reduced_[col];
     if (!P::is_zero(rfactor)) {
-      for (std::size_t j = 0; j < reduced_.size(); ++j) {
+      for (std::size_t j = 0; j < width_; ++j) {
         if (j == col) continue;
         const T& pv = prow[j];
         if (P::is_skippable_zero(pv)) continue;
         P::sub_mul(reduced_[j], rfactor, pv);
       }
       reduced_[col] = T{};
-      objective_value_ += rfactor * rhs_[row];
+      objective_value_ += rfactor * rhs_[pivot_row];
     }
-    basis_[row] = col;
+    basis_[pivot_row] = col;
   }
 
   /// The same pivot with no per-entry zero test and no `j == col` test in
-  /// its three row loops, so they run as the vector row kernels above.
-  /// The pivot column's entries come out as 1 - 1 and f - f * 1, both
-  /// overwritten after the loop as before; each factor is copied first,
-  /// because the loop now writes the entry the eta cache points at.  The
-  /// rows are distinct vectors, so the kernels' restrict contract holds.
-  void pivot_without_tests(std::size_t row, std::size_t col) {
-    T* const prow = tab_[row].data();
-    const std::size_t width = tab_[row].size();
+  /// its three row loops, so they run as the vector row kernels above,
+  /// over whole padded rows.  The pivot column's entries come out as
+  /// 1 - 1 and f - f * 1, both overwritten after the loop as before; each
+  /// factor is copied first, because the loop writes the entry it was read
+  /// from.  Distinct rows never overlap in the flat tableau, so the
+  /// kernels' restrict contract holds.
+  void pivot_without_tests(std::size_t pivot_row, std::size_t col) {
+    T* const prow = row(pivot_row);
     const T inv = T{1} / prow[col];
-    scale_row(prow, width, inv);
-    rhs_[row] *= inv;
+    scale_row(prow, stride_, inv);
+    rhs_[pivot_row] *= inv;
     prow[col] = T{1};  // kill residual rounding
-    for (std::size_t i = 0; i < tab_.size(); ++i) {
-      if (i == row) continue;
-      const T factor = *eta_[i];
+    for (std::size_t i = 0; i < rows_; ++i) {
+      if (i == pivot_row) continue;
+      T* const trow = row(i);
+      const T factor = trow[col];
       if (P::is_zero(factor)) continue;
-      T* const trow = tab_[i].data();
-      sub_scaled_row(trow, prow, width, factor);
-      rhs_[i] -= factor * rhs_[row];
+      sub_scaled_row(trow, prow, stride_, factor);
+      rhs_[i] -= factor * rhs_[pivot_row];
       trow[col] = T{};
     }
     const T rfactor = reduced_[col];
     if (!P::is_zero(rfactor)) {
-      T* const reduced = reduced_.data();
-      sub_scaled_row(reduced, prow, width, rfactor);
-      reduced[col] = T{};
-      objective_value_ += rfactor * rhs_[row];
+      sub_scaled_row(reduced_.data(), prow, stride_, rfactor);
+      reduced_[col] = T{};
+      objective_value_ += rfactor * rhs_[pivot_row];
     }
-    basis_[row] = col;
+    basis_[pivot_row] = col;
   }
 
   /// After phase 1, any artificial still basic sits at value zero; pivot it
   /// out on a non-artificial column, or drop the (redundant) row.
   void expel_basic_artificials() {
-    for (std::size_t i = 0; i < basis_.size(); ++i) {
+    for (std::size_t i = 0; i < rows_; ++i) {
       if (basis_[i] < first_artificial_) continue;
       std::size_t col = first_artificial_;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
-        if (!P::is_zero(tab_[i][j])) {
+        if (!P::is_zero(row(i)[j])) {
           col = j;
           break;
         }
@@ -572,13 +588,14 @@ class Simplex {
     }
   }
 
-  const DenseLp<T>& lp_;
-  std::vector<std::vector<T>> tab_;
+  const DenseLp<T>* lp_ = nullptr;
+  std::vector<T> tab_;  ///< rows_ x stride_, row-major
+  std::size_t rows_ = 0;
+  std::size_t width_ = 0;   ///< tableau columns in use
+  std::size_t stride_ = 0;  ///< width_, padded for the double kernels
   std::vector<T> rhs_;
-  std::vector<T> reduced_;
-  std::vector<const T*> eta_;  ///< cached entering column (see pivot)
+  std::vector<T> reduced_;  ///< stride_ entries, like a tableau row
   std::vector<std::size_t> basis_;
-  std::vector<bool> forbidden_;
   T objective_value_{};
   std::size_t first_artificial_ = 0;
   bool has_artificials_ = false;

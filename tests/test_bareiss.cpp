@@ -152,6 +152,20 @@ TEST(Bareiss, BealeDegenerateCycle) {
   expect_engines_agree(lp);
 }
 
+TEST(Bareiss, RowFreeLpIsUnboundedUnderAPositiveObjective) {
+  // No constraint holds x back.  With no rows there is no tableau row to
+  // size the reduced-cost row by: each engine must still price every
+  // column, or it calls this LP optimal at zero.
+  DenseLp<Rational> lp;
+  lp.num_vars = 2;
+  lp.objective = {rat(-1), rat(2)};
+  EXPECT_EQ(BareissSimplex(lp).solve().status, Status::Unbounded);
+  expect_engines_agree(lp);
+  lp.objective = {rat(-1), rat(0)};
+  EXPECT_EQ(BareissSimplex(lp).solve().status, Status::Optimal);
+  expect_engines_agree(lp);
+}
+
 // ---------------------------------------------------- randomized sweeps --
 
 class BareissRandom : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <thread>
 
 #include "core/scenario.hpp"
 #include "core/scenario_lp.hpp"
 #include "platform/generators.hpp"
 #include "schedule/validator.hpp"
 #include "util/error.hpp"
+#include "util/fan_out.hpp"
 #include "util/rng.hpp"
 #include "registry_shims.hpp"
 
@@ -122,6 +124,38 @@ TEST(ScenarioLp, IdleVariablesNeverChangeTheOptimum) {
   EXPECT_NEAR(schedule.total_load(), sol.throughput.to_double(), 1e-9);
 }
 
+TEST(ScenarioLp, BuildersRejectMalformedScenariosLikeCheck) {
+  // The builders check a scenario while indexing its positions; each
+  // fault must still throw, with Scenario::check's message.
+  const StarPlatform platform = platform3();
+  Scenario out_of_range = Scenario::fifo(std::vector<std::size_t>{0, 5});
+  Scenario twice = Scenario::fifo(std::vector<std::size_t>{1, 1});
+  Scenario unsent = Scenario::fifo(std::vector<std::size_t>{0, 1});
+  unsent.return_order = {0, 2};
+  Scenario short_returns = Scenario::fifo(std::vector<std::size_t>{0, 1});
+  short_returns.return_order = {0};
+  for (const Scenario& scenario :
+       {out_of_range, twice, unsent, short_returns}) {
+    std::string message;
+    try {
+      scenario.check(platform);
+    } catch (const Error& e) {
+      message = e.what();
+    }
+    ASSERT_FALSE(message.empty());
+    for (int path = 0; path < 3; ++path) {
+      try {
+        if (path == 0) (void)build_scenario_lp(platform, scenario);
+        if (path == 1) (void)build_scenario_lp_double(platform, scenario);
+        if (path == 2) (void)solve_scenario_double(platform, scenario);
+        ADD_FAILURE() << "path " << path << " accepted " << message;
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), message.c_str()) << "path " << path;
+      }
+    }
+  }
+}
+
 TEST(ScenarioLp, DoubleSolverMatchesExact) {
   Rng rng(5);
   for (int i = 0; i < 5; ++i) {
@@ -202,7 +236,7 @@ lp::DenseLp<double> densified(const StarPlatform& platform,
 /// sides, coefficients); a shape or relation difference counts as one.
 std::size_t bit_mismatches(const lp::DenseLp<double>& got,
                            const lp::DenseLp<double>& want) {
-  if (got.num_vars != want.num_vars || got.rows.size() != want.rows.size() ||
+  if (got.num_vars != want.num_vars || got.num_rows() != want.num_rows() ||
       got.relations != want.relations) {
     return 1;
   }
@@ -210,10 +244,10 @@ std::size_t bit_mismatches(const lp::DenseLp<double>& got,
   for (std::size_t j = 0; j < want.num_vars; ++j) {
     count += bits(got.objective[j]) != bits(want.objective[j]);
   }
-  for (std::size_t i = 0; i < want.rows.size(); ++i) {
+  for (std::size_t i = 0; i < want.num_rows(); ++i) {
     count += bits(got.rhs[i]) != bits(want.rhs[i]);
     for (std::size_t j = 0; j < want.num_vars; ++j) {
-      count += bits(got.rows[i][j]) != bits(want.rows[i][j]);
+      count += bits(got.row(i)[j]) != bits(want.row(i)[j]);
     }
   }
   return count;
@@ -356,16 +390,16 @@ TEST(ScenarioLpDouble, OnePortColumnKeepsTheExactSumOfAWideGapPair) {
                                Worker{c, 0.03, d, "P3"}});
   const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1, 2});
   const lp::DenseLp<double> want = densified(platform, scenario, {});
-  ASSERT_EQ(want.rows.size(), 4u);
-  EXPECT_EQ(bits(want.rows[3][0]), bits(0x1.3b1419a762c64p+0));
-  EXPECT_NE(bits(want.rows[3][0]), bits(c + d));
+  ASSERT_EQ(want.num_rows(), 4u);
+  EXPECT_EQ(bits(want.row(3)[0]), bits(0x1.3b1419a762c64p+0));
+  EXPECT_NE(bits(want.row(3)[0]), bits(c + d));
   EXPECT_EQ(bit_mismatches(build_scenario_lp_double(platform, scenario), want),
             0u);
   expect_same_double_solve(platform, scenario, {});
   const ScenarioSolutionD solution = solve_scenario_double(platform, scenario);
-  const double budget = want.rows[3][0] * solution.alpha[0] +
-                        want.rows[3][1] * solution.alpha[1] +
-                        want.rows[3][2] * solution.alpha[2];
+  const double budget = want.row(3)[0] * solution.alpha[0] +
+                        want.row(3)[1] * solution.alpha[1] +
+                        want.row(3)[2] * solution.alpha[2];
   EXPECT_NEAR(budget, 1.0, 1e-12);  // the one-port row is tight
 }
 
@@ -466,6 +500,151 @@ TEST(ScenarioLpDouble, ConstantsBelowTheDoubleDenominatorRangeMatchToo) {
                        densified(platform, scenario, options)),
         0u);
     expect_same_double_solve(platform, scenario, options);
+  }
+}
+
+// ------------------------------------ the double solve and its workspace --
+
+/// Folds `word` into the running digest `h`.
+std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
+  return h ^ (word + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Everything `solve_scenario_double` returns: feasibility, throughput and
+/// alpha bits, the scenario and the pivot count.
+std::uint64_t fold_solution(std::uint64_t h, const ScenarioSolutionD& s) {
+  h = fold(h, s.lp_feasible ? 1 : 0);
+  h = fold(h, bits(s.throughput));
+  for (const double a : s.alpha) h = fold(h, bits(a));
+  for (const std::size_t w : s.scenario.send_order) h = fold(h, w);
+  for (const std::size_t w : s.scenario.return_order) h = fold(h, w);
+  return fold(h, s.lp_pivots);
+}
+
+TEST(ScenarioLpDouble, SolvesEveryScenarioToThePinnedBits) {
+  // solve_scenario_double over every generator family at p = 1..16 and
+  // both z regimes, under FIFO, LIFO, a random general and a random-subset
+  // FIFO scenario, in both port models with no, scalar, infeasible and
+  // per-worker latencies.  The digest was recorded with the solver that
+  // rebuilt its tableau as one vector per row for every solve.
+  const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
+  Rng rng(2323);
+  std::uint64_t digest = 0;
+  std::size_t lps = 0;
+  std::size_t infeasible = 0;
+  for (const gen::GeneratorInfo& info : registry.infos()) {
+    const auto accepts = [&](const std::string& key) {
+      return std::find(info.params.begin(), info.params.end(), key) !=
+             info.params.end();
+    };
+    for (std::size_t p = 1; p <= 16; ++p) {
+      for (const double z : {0.35, 2.5}) {
+        gen::GenParams params;
+        if (accepts("p")) params["p"] = static_cast<double>(p);
+        if (accepts("z")) params["z"] = z;
+        if (accepts("z_num")) params["z_num"] = z < 1.0 ? 1.0 : 5.0;
+        if (accepts("lat_hi")) {
+          params["lat_lo"] = 0.5;
+          params["lat_hi"] = 1.5;
+        }
+        const gen::GeneratedPlatform generated =
+            registry.make_generated(info.name, params, rng);
+        const StarPlatform& platform = generated.platform;
+        const std::size_t n = platform.size();
+        const std::vector<std::size_t> order = rng.permutation(n);
+        const std::vector<std::size_t> subset(
+            order.begin(),
+            order.begin() + rng.uniform_int(1, static_cast<std::int64_t>(n)));
+        for (const Scenario& scenario :
+             {Scenario::fifo(order), Scenario::lifo(order),
+              Scenario::general(order, rng.permutation(n)),
+              Scenario::fifo(subset)}) {
+          for (const LpOptions& options : lp_variants(generated, rng)) {
+            const ScenarioSolutionD solution =
+                solve_scenario_double(platform, scenario, options);
+            digest = fold_solution(digest, solution);
+            infeasible += !solution.lp_feasible;
+            ++lps;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lps, 11264u);
+  EXPECT_GT(infeasible, 0u);
+  EXPECT_EQ(digest, 0x5c0d8f1b49ecdf3bULL);
+}
+
+/// One double solve of the interleaved sequence below.
+struct DoubleCase {
+  StarPlatform platform;
+  Scenario scenario;
+  LpOptions options;
+};
+
+void expect_same_solution(const ScenarioSolutionD& got,
+                          const ScenarioSolutionD& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.lp_feasible, want.lp_feasible) << where;
+  EXPECT_EQ(bits(got.throughput), bits(want.throughput)) << where;
+  EXPECT_EQ(got.lp_pivots, want.lp_pivots) << where;
+  EXPECT_EQ(got.scenario.send_order, want.scenario.send_order) << where;
+  EXPECT_EQ(got.scenario.return_order, want.scenario.return_order) << where;
+  ASSERT_EQ(got.alpha.size(), want.alpha.size()) << where;
+  for (std::size_t i = 0; i < want.alpha.size(); ++i) {
+    EXPECT_EQ(bits(got.alpha[i]), bits(want.alpha[i])) << where << " i=" << i;
+  }
+}
+
+TEST(ScenarioLpDouble, AReusedWorkspaceAnswersLikeAFreshThread) {
+  // A thread's workspace shrinks and grows with each LP: p = 16, then 2,
+  // then 16; a two-port LP between one-port ones; an infeasible affine LP
+  // between feasible ones.  Solved in sequence on one thread, and on pool
+  // lanes, every answer must equal a solve on a thread that has never
+  // solved anything.
+  Rng rng(4242);
+  LpOptions two_port;
+  two_port.one_port = false;
+  LpOptions affine;
+  affine.send_latency = 0.002;
+  affine.compute_latency = 0.01;
+  affine.return_latency = 0.0013;
+  LpOptions infeasible;
+  infeasible.send_latency = 0.15;
+  infeasible.compute_latency = 0.3;
+  infeasible.return_latency = 0.1;
+  std::vector<DoubleCase> cases;
+  for (const std::size_t p : {16u, 2u, 16u, 5u, 12u, 1u, 12u, 16u, 3u}) {
+    const StarPlatform platform = gen::random_star(p, rng, 0.8);
+    const Scenario scenario =
+        Scenario::general(rng.permutation(p), rng.permutation(p));
+    for (const LpOptions& options :
+         {LpOptions{}, two_port, affine, infeasible, LpOptions{}}) {
+      cases.push_back({platform, scenario, options});
+    }
+  }
+  auto solve = [&](std::size_t i) {
+    return solve_scenario_double(cases[i].platform, cases[i].scenario,
+                                 cases[i].options);
+  };
+  std::vector<ScenarioSolutionD> fresh(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::thread([&, i] { fresh[i] = solve(i); }).join();
+  }
+  std::size_t feasible = 0;
+  for (const ScenarioSolutionD& solution : fresh) feasible += solution.lp_feasible;
+  EXPECT_GT(feasible, 0u);
+  EXPECT_LT(feasible, cases.size());
+
+  std::vector<ScenarioSolutionD> sequence(cases.size());
+  std::thread([&] {
+    for (std::size_t i = 0; i < cases.size(); ++i) sequence[i] = solve(i);
+  }).join();
+  std::vector<ScenarioSolutionD> pooled(cases.size());
+  fan_out(cases.size(), 4, [&](std::size_t i) { pooled[i] = solve(i); });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    expect_same_solution(sequence[i], fresh[i], "sequence " + std::to_string(i));
+    expect_same_solution(pooled[i], fresh[i], "pooled " + std::to_string(i));
   }
 }
 

@@ -227,6 +227,23 @@ TEST(ShardPlanner, SlotHashesAreTheJobHashesOfTheirCells) {
   EXPECT_EQ(slots, 16u + 2u * 2u * 2u * 2u * 2u);
 }
 
+TEST(ShardPlanner, BuiltinGridFingerprintsArePinned) {
+  // Shard ids and job hashes feed cache file names and every BENCH
+  // artifact, so a faster planner must reproduce them byte for byte.  The
+  // fingerprints were recorded with the planner that serialized a cell's
+  // request once per solver.
+  const std::vector<std::pair<std::string, std::string>> pinned = {
+      {"smoke", "e17c9472f19800560892b8c07109ed92"},
+      {"micro_solvers", "a5575ac47af947b899cd259bf55cf5ee"},
+      {"affine_surface", "84f896aae096974e1ad2c4d354a55844"},
+  };
+  for (const auto& [name, fingerprint] : pinned) {
+    EXPECT_EQ(plan_fingerprint(plan_shards(find_builtin_spec(name))),
+              fingerprint)
+        << name;
+  }
+}
+
 TEST(ShardPlanner, RejectsNonGridKinds) {
   EXPECT_THROW((void)plan_shards(find_builtin_spec("fig10")), Error);
 }
