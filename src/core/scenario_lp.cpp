@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <climits>
+#include <cmath>
 #include <span>
 
+#include "lp/certificate.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace dlsched {
@@ -99,17 +102,16 @@ struct DoubleBuildScratch {
   std::vector<Rational> sent, returned;    // latency prefix/suffix sums
 };
 
-/// Right-hand sides `(1 - latency constants).to_double()` of the q chain
-/// rows (sigma_1 order) followed by the one-port row's, written to
-/// `rhs[0..q]`.  The constants are exact prefix sums of the send latencies
-/// (sigma_1 order) and suffix sums of the return latencies (sigma_2
-/// order); an exact sum does not depend on its order, so each matches the
-/// reference's per-row sum.
-void latency_rhs(const Scenario& scenario, const LpOptions& options,
-                 DoubleBuildScratch& scratch, std::vector<double>& rhs) {
+/// The exact latency constants of every row, as prefix and suffix sums:
+/// `sent[k]` adds the send latencies of sigma_1 positions 0..k and
+/// `returned[r]` the return latencies of sigma_2 positions r..q-1.  Chain
+/// row k pays sent[k], the compute latency and returned[its sigma_2 rank];
+/// the one-port row pays sent[q-1] + returned[0].  An exact sum does not
+/// depend on its order, so each equals the row's term-by-term sum.
+void latency_sums(const Scenario& scenario, const LpOptions& options,
+                  std::vector<Rational>& sent,
+                  std::vector<Rational>& returned) {
   const std::size_t q = scenario.size();
-  std::vector<Rational>& sent = scratch.sent;          // up to position k
-  std::vector<Rational>& returned = scratch.returned;  // from position r on
   sent.resize(q);
   returned.resize(q);
   Rational total;
@@ -124,6 +126,17 @@ void latency_rhs(const Scenario& scenario, const LpOptions& options,
         options.return_latency_for(scenario.return_order[r]));
     returned[r] = total;
   }
+}
+
+/// Right-hand sides `(1 - latency constants).to_double()` of the q chain
+/// rows (sigma_1 order) followed by the one-port row's, written to
+/// `rhs[0..q]`.
+void latency_rhs(const Scenario& scenario, const LpOptions& options,
+                 DoubleBuildScratch& scratch, std::vector<double>& rhs) {
+  const std::size_t q = scenario.size();
+  latency_sums(scenario, options, scratch.sent, scratch.returned);
+  const std::vector<Rational>& sent = scratch.sent;
+  const std::vector<Rational>& returned = scratch.returned;
   const Rational compute = Rational::from_double(options.compute_latency);
   rhs.resize(q + 1);
   for (std::size_t k = 0; k < q; ++k) {
@@ -198,21 +211,158 @@ void fill_scenario_lp_double(const StarPlatform& platform,
   }
 }
 
-/// Per-thread storage of `solve_scenario_double`: the LP it builds, the
-/// solver with its tableau, and the solution it reads back.  Each buffer
-/// keeps its capacity, so once a thread has solved its widest scenario no
-/// solve allocates here.  A solve uses the workspace from build to
-/// read-out and calls nothing in between that could solve another
-/// scenario on the same thread (no fan_out), so no two uses overlap.
-struct DoubleWorkspace {
+// ---------------------------------------------------------------------------
+// `fill_scenario_lp_integer` writes the exact model of `build_scenario_lp`
+// as integer rows for `lp::BasisCertificate`.  Every coefficient and
+// right-hand side is a sum of doubles, and a double is odd * 2^exponent
+// (`numeric::binary_fraction`), so one power of two, 2^-scale with scale
+// the least exponent in the model, makes every entry an integer.  No
+// Rational, no gcd: a term is a shifted odd part, and the latency
+// constants are integer prefix and suffix sums.
+
+/// What `fill_scenario_lp_integer` computes per scenario besides the LP
+/// itself; entries are the platform constants and latencies times
+/// 2^-scale.
+struct IntegerBuildScratch {
+  std::vector<numeric::BigInt> c, w, d;          // sigma_1 order
+  std::vector<numeric::BigInt> sent, returned;   // as in `latency_sums`
+  numeric::BigInt compute;
+  numeric::BigInt term;
+};
+
+/// Least exponent of x's binary fraction into `scale` (zeros have none).
+void lower_scale(double x, int& scale) {
+  const numeric::BinaryFraction fraction = numeric::binary_fraction(x);
+  if (fraction.odd != 0) scale = std::min(scale, fraction.exponent);
+}
+
+/// x * 2^-scale, an integer because scale is at most x's exponent.
+void scaled_integer(double x, int scale, numeric::BigInt& out) {
+  const numeric::BinaryFraction fraction = numeric::binary_fraction(x);
+  out = numeric::BigInt(fraction.odd);
+  if (fraction.odd == 0) return;
+  out <<= static_cast<std::size_t>(fraction.exponent - scale);
+  if (fraction.negative) out.negate();
+}
+
+/// Builds the exact LP of `scenario` as integer rows into `out`, reusing
+/// the positions and sigma_2 ranks that `fill_scenario_lp_double` left in
+/// `scratch` for the same scenario.  Row for row and entry for entry it is
+/// `build_scenario_lp(...).densify<Rational>()` times 2^-scale.
+void fill_scenario_lp_integer(const StarPlatform& platform,
+                              const Scenario& scenario,
+                              const LpOptions& options,
+                              const DoubleBuildScratch& scratch,
+                              IntegerBuildScratch& ints, lp::IntegerLp& out) {
+  using numeric::BigInt;
+  const std::size_t q = scenario.size();
+  const bool affine = options.is_affine();
+  int scale = 0;  // the right-hand sides' 1
+  for (const std::size_t id : scenario.send_order) {
+    const Worker& worker = platform.worker(id);
+    lower_scale(worker.c, scale);
+    lower_scale(worker.w, scale);
+    lower_scale(worker.d, scale);
+    if (affine) {
+      lower_scale(options.send_latency_for(id), scale);
+      lower_scale(options.return_latency_for(id), scale);
+    }
+  }
+  if (affine) lower_scale(options.compute_latency, scale);
+
+  ints.c.resize(q);
+  ints.w.resize(q);
+  ints.d.resize(q);
+  for (std::size_t k = 0; k < q; ++k) {
+    const Worker& worker = platform.worker(scenario.send_order[k]);
+    scaled_integer(worker.c, scale, ints.c[k]);
+    scaled_integer(worker.w, scale, ints.w[k]);
+    scaled_integer(worker.d, scale, ints.d[k]);
+  }
+
+  const std::size_t m = q + (options.one_port ? 1 : 0);
+  out.num_vars = q;
+  out.objective.assign(q, BigInt(1));
+  out.coefficients.resize(m * q);
+  out.rhs.resize(m);
+  const BigInt one_scaled = BigInt(1) << static_cast<std::size_t>(-scale);
+  if (affine) {
+    ints.sent.resize(q);
+    ints.returned.resize(q);
+    BigInt total;
+    for (std::size_t k = 0; k < q; ++k) {
+      scaled_integer(options.send_latency_for(scenario.send_order[k]), scale,
+                     ints.term);
+      total += ints.term;
+      ints.sent[k] = total;
+    }
+    total = BigInt();
+    for (std::size_t r = q; r-- > 0;) {
+      scaled_integer(options.return_latency_for(scenario.return_order[r]),
+                     scale, ints.term);
+      total += ints.term;
+      ints.returned[r] = total;
+    }
+    scaled_integer(options.compute_latency, scale, ints.compute);
+    for (std::size_t k = 0; k < q; ++k) {
+      BigInt& rhs = out.rhs[k];
+      rhs = one_scaled;
+      rhs -= ints.sent[k];
+      rhs -= ints.compute;
+      rhs -= ints.returned[scratch.return_rank[k]];
+    }
+    if (options.one_port) {
+      BigInt& rhs = out.rhs[q];
+      rhs = one_scaled;
+      if (q > 0) {
+        rhs -= ints.sent[q - 1];
+        rhs -= ints.returned[0];
+      }
+    }
+  } else {
+    for (BigInt& rhs : out.rhs) rhs = one_scaled;
+  }
+  // (2a) chain row k: column j sums c_j (sent no later than k), w_k
+  // (j = k) and d_j (returned no earlier).
+  const std::vector<std::size_t>& rank = scratch.return_rank;
+  for (std::size_t k = 0; k < q; ++k) {
+    for (std::size_t j = 0; j < q; ++j) {
+      BigInt& entry = out.coefficients[k * q + j];
+      entry = j <= k ? ints.c[j] : BigInt();
+      if (j == k) entry += ints.w[k];
+      if (rank[j] >= rank[k]) entry += ints.d[j];
+    }
+  }
+  // (2b) the one-port row: c_k + d_k per column.
+  if (options.one_port) {
+    for (std::size_t k = 0; k < q; ++k) {
+      BigInt& entry = out.coefficients[q * q + k];
+      entry = ints.c[k];
+      entry += ints.d[k];
+    }
+  }
+}
+
+/// Per-thread storage of the double solve and of the exact certificate
+/// that checks its basis: the LPs they build, the double solver with its
+/// tableau and the solution it reads back, and the certificate's
+/// elimination scratch.  Each buffer keeps its capacity, so once a thread
+/// has solved its widest scenario no double solve allocates here.  A solve
+/// uses the workspace from build to read-out and calls nothing in between
+/// that could solve another scenario on the same thread (no fan_out), so
+/// no two uses overlap.
+struct ThreadWorkspace {
   DoubleBuildScratch scratch;
   lp::DenseLp<double> lp;
   lp::Simplex<double> simplex;
   lp::Solution<double> solution;
+  IntegerBuildScratch ints;
+  lp::IntegerLp exact_lp;
+  lp::BasisCertificate certificate;
 };
 
-DoubleWorkspace& double_workspace() noexcept {
-  thread_local DoubleWorkspace instance;
+ThreadWorkspace& thread_workspace() noexcept {
+  thread_local ThreadWorkspace instance;
   return instance;
 }
 
@@ -236,15 +386,11 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   check_latency_sizes(platform, options);
   const std::size_t q = scenario.size();
   const Rational comp_lat = Rational::from_double(options.compute_latency);
-  // Exact per-position latency constants in sigma_1 order (a latency, like
-  // the linear coefficients, is paid by the *message*, so worker j's own
-  // constant accumulates wherever its message appears in a chain).
-  std::vector<Rational> send_lat(q), ret_lat(q);
-  for (std::size_t k = 0; k < q; ++k) {
-    const std::size_t w = scenario.send_order[k];
-    send_lat[k] = Rational::from_double(options.send_latency_for(w));
-    ret_lat[k] = Rational::from_double(options.return_latency_for(w));
-  }
+  // Exact latency constants (a latency, like the linear coefficients, is
+  // paid by the *message*, so worker j's own constant accumulates wherever
+  // its message appears in a chain), as prefix and suffix sums.
+  std::vector<Rational> sent, returned;
+  latency_sums(scenario, options, sent, returned);
 
   lp::LpProblem problem;
   // Variables: alpha_k ordered by sigma_1 position k.  The paper's idle
@@ -280,26 +426,23 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   for (std::size_t k = 0; k < q; ++k) {
     const std::size_t worker_id = scenario.send_order[k];
     std::vector<lp::Term> terms;
-    Rational constants;
     // All sends up to and including worker k (sigma_1 prefix).
     for (std::size_t j = 0; j <= k; ++j) {
       terms.push_back({alpha_var[j], c[j]});
-      constants += send_lat[j];
     }
     // Own computation.  (The idle time x_k is this row's slack.)
     terms.push_back({alpha_var[k], w_cost[k]});
-    constants += comp_lat;
     // All returns from this worker onward in sigma_2 order.
     const std::size_t my_return_pos = pos.return_pos[worker_id];
     for (std::size_t r = my_return_pos; r < q; ++r) {
       const std::size_t other = scenario.return_order[r];
       const std::size_t other_k = pos.send_pos[other];
       terms.push_back({alpha_var[other_k], d[other_k]});
-      constants += ret_lat[other_k];
     }
-    problem.add_constraint(std::move(terms), lp::Relation::LessEq,
-                           Rational(1) - constants,
-                           "chain_" + platform.worker(worker_id).name);
+    problem.add_constraint(
+        std::move(terms), lp::Relation::LessEq,
+        Rational(1) - (sent[k] + comp_lat + returned[my_return_pos]),
+        "chain_" + platform.worker(worker_id).name);
   }
 
   // (2b) the master's one-port budget: total communication time <= 1.
@@ -307,13 +450,13 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   // receive simultaneously.
   if (options.one_port) {
     std::vector<lp::Term> terms;
-    Rational constants;
     for (std::size_t k = 0; k < q; ++k) {
       terms.push_back({alpha_var[k], c[k] + d[k]});
-      constants += send_lat[k] + ret_lat[k];
     }
-    problem.add_constraint(std::move(terms), lp::Relation::LessEq,
-                           Rational(1) - constants, "one_port");
+    problem.add_constraint(
+        std::move(terms), lp::Relation::LessEq,
+        q == 0 ? Rational(1) : Rational(1) - (sent[q - 1] + returned[0]),
+        "one_port");
   }
   return problem;
 }
@@ -327,17 +470,56 @@ lp::DenseLp<double> build_scenario_lp_double(const StarPlatform& platform,
   return dense;
 }
 
+namespace {
+
+/// The cold exact solve without the Bareiss tableau: solves the double LP
+/// in the thread's workspace and certifies its final basis on the exact
+/// integer model.  True when the certificate holds; then `out` is the
+/// unique optimum, bit for bit what `build_scenario_lp(...).solve_exact()`
+/// returns, and `out.pivots` counts the double simplex's pivots.
+bool solve_certified(const StarPlatform& platform, const Scenario& scenario,
+                     const LpOptions& options, lp::Solution<Rational>& out) {
+  ThreadWorkspace& ws = thread_workspace();
+  fill_scenario_lp_double(platform, scenario, options, ws.scratch, ws.lp);
+  // A platform may hold an infinite constant, which no binary fraction
+  // reads: the cold solve rejects it.
+  if (!std::all_of(ws.lp.coefficients.begin(), ws.lp.coefficients.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return false;
+  }
+  ws.simplex.reset(ws.lp);
+  ws.simplex.solve_into(ws.solution);
+  if (ws.solution.status != lp::Status::Optimal) return false;
+  fill_scenario_lp_integer(platform, scenario, options, ws.scratch, ws.ints,
+                           ws.exact_lp);
+  if (!ws.certificate.certify(ws.exact_lp, ws.solution.basis, out)) {
+    return false;
+  }
+  out.pivots = ws.solution.pivots;
+  return true;
+}
+
+}  // namespace
+
 ScenarioSolution solve_scenario(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
-  const lp::LpProblem problem =
-      build_scenario_lp(platform, scenario, options);
+  lp::Solution<Rational> lp_solution;
   lp::WarmInfo warm;
-  const lp::Solution<Rational> lp_solution =
-      options.warm_basis.empty()
-          ? problem.solve_exact()
-          : problem.solve_exact(lp::ExactEngine::Bareiss,
-                                lp::WarmBasis{options.warm_basis}, &warm);
+  if (options.warm_basis.empty()) {
+    const bool certified =
+        solve_certified(platform, scenario, options, lp_solution);
+    obs::MetricsRegistry::process().add(certified ? "lp.certified"
+                                                  : "lp.certify_fallbacks");
+    if (!certified) {
+      lp_solution =
+          build_scenario_lp(platform, scenario, options).solve_exact();
+    }
+  } else {
+    lp_solution = build_scenario_lp(platform, scenario, options)
+                      .solve_exact(lp::ExactEngine::Bareiss,
+                                   lp::WarmBasis{options.warm_basis}, &warm);
+  }
 
   ScenarioSolution out;
   out.scenario = scenario;
@@ -351,11 +533,11 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
   }
   DLSCHED_EXPECT(lp_solution.status == lp::Status::Optimal,
                  "scenario LP must be optimal");
-  out.throughput = lp_solution.objective;
+  out.throughput = std::move(lp_solution.objective);
   out.lp_pivots = lp_solution.pivots;
   out.alpha.assign(platform.size(), Rational());
   for (std::size_t k = 0; k < scenario.size(); ++k) {
-    out.alpha[scenario.send_order[k]] = lp_solution.values[k];
+    out.alpha[scenario.send_order[k]] = std::move(lp_solution.values[k]);
   }
   return out;
 }
@@ -373,7 +555,7 @@ ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
 ScenarioSolutionD solve_scenario_double(const StarPlatform& platform,
                                         const Scenario& scenario,
                                         const LpOptions& options) {
-  DoubleWorkspace& ws = double_workspace();
+  ThreadWorkspace& ws = thread_workspace();
   fill_scenario_lp_double(platform, scenario, options, ws.scratch, ws.lp);
   ws.simplex.reset(ws.lp);
   ws.simplex.solve_into(ws.solution);

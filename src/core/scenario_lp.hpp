@@ -18,6 +18,13 @@
 // could never accept a seed.  A solve does not report x_i: the realized
 // schedule re-derives every gap from alpha (`realize_schedule`), and
 // `LpProblem::row_slack` recovers x_i exactly from the LP values.
+//
+// An exact solve rarely pivots an exact tableau.  A cold one solves the
+// double LP, builds the exact model as integer rows straight from the
+// platform's bits, and proves the double basis optimal and the optimum
+// unique (`lp::BasisCertificate`); only when that proof fails does it run
+// the fraction-free Bareiss simplex on `build_scenario_lp`'s model.  Both
+// routes return the same canonical rationals.
 #pragma once
 
 #include <vector>
@@ -132,6 +139,14 @@ struct LpOptions {
 /// (cannot happen in the linear model: alpha = 0 is always feasible; with
 /// affine latencies the constants may make the scenario infeasible, which
 /// is reported via lp_feasible = false and zero throughput).
+///
+/// With no `warm_basis`, the double simplex's final basis is certified in
+/// exact integer arithmetic first (see the file comment); a certified
+/// solve reports the double simplex's pivots as `lp_pivots`.  When the
+/// certificate fails, or the double LP is not optimal, the solve runs
+/// `build_scenario_lp(...).solve_exact()`.  The process metrics count the
+/// two outcomes as `lp.certified` and `lp.certify_fallbacks`.  A
+/// warm-seeded solve crashes its seed into the Bareiss tableau.
 [[nodiscard]] ScenarioSolution solve_scenario(const StarPlatform& platform,
                                               const Scenario& scenario,
                                               const LpOptions& options);
@@ -142,6 +157,8 @@ struct LpOptions {
 /// doubles).  Returns platform-indexed alphas and the throughput.  The LP
 /// is built and solved in a workspace each thread owns, so once a thread
 /// has solved its widest scenario, a solve allocates only the result.
+/// Cold exact solves use the same workspace for their double half and
+/// their certificate.
 struct ScenarioSolutionD {
   double throughput = 0.0;
   std::vector<double> alpha;

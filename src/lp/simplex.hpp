@@ -4,7 +4,11 @@
 // pivoting rule guarantees termination and exact arithmetic guarantees the
 // returned vertex is a true optimum -- which is what lets the test suite
 // assert the paper's theorems as exact statements.  Instantiated with
-// `double` it is a fast approximate solver used by the benchmark sweeps.
+// `double` it is a fast approximate solver used by the benchmark sweeps,
+// and the first half of every cold exact scenario solve: it reports its
+// whole final basis (`Solution::basis`, slack columns included), which
+// `BasisCertificate` (lp/certificate.hpp) then proves optimal and unique
+// in exact integer arithmetic.
 //
 // Standard form handled: maximize c^T x  s.t.  A x {<=,>=,==} b,  x >= 0.
 // Rows with negative b are flipped on entry, so any sign of b is accepted.
@@ -94,14 +98,20 @@ void sub_scaled_row(T* __restrict target, const T* __restrict source,
 /// Result of a solve.  `values` has one entry per structural variable; a
 /// row's slack at the optimum is a function of them (`LpProblem::row_slack`).
 /// `basic_structurals` (sorted) is the warm-start seed for a neighboring
-/// LP; it is advisory and excluded from the warm/cold differential
-/// guarantee (a degenerate vertex admits several bases for one optimum).
+/// LP.  `basis`, filled by `Simplex`, is the whole final basis, one tableau
+/// column per row in row order: column j < num_vars is structural j, the
+/// next columns are the slack or surplus of each inequality row in row
+/// order, and the rest are artificials.  It is what `BasisCertificate`
+/// checks (lp/certificate.hpp).  Both are advisory and excluded from the
+/// warm/cold differential guarantee (a degenerate vertex admits several
+/// bases for one optimum).
 template <class T>
 struct Solution {
   Status status = Status::Infeasible;
   T objective{};
   std::vector<T> values;
   std::vector<std::size_t> basic_structurals;
+  std::vector<std::size_t> basis;
   std::size_t pivots = 0;
 };
 
@@ -274,6 +284,7 @@ class Simplex {
     out.objective = T{};
     out.values.clear();
     out.basic_structurals.clear();
+    out.basis.clear();
     out.pivots = pivots_;
   }
 
@@ -290,6 +301,7 @@ class Simplex {
       }
     }
     std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
+    out.basis.assign(basis_.begin(), basis_.end());
   }
 
   T* row(std::size_t i) { return tab_.data() + i * stride_; }

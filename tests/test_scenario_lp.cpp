@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iostream>
+#include <limits>
 #include <thread>
 
 #include "core/scenario.hpp"
 #include "core/scenario_lp.hpp"
+#include "obs/metrics.hpp"
 #include "platform/generators.hpp"
 #include "schedule/validator.hpp"
 #include "util/error.hpp"
@@ -645,6 +648,417 @@ TEST(ScenarioLpDouble, AReusedWorkspaceAnswersLikeAFreshThread) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     expect_same_solution(sequence[i], fresh[i], "sequence " + std::to_string(i));
     expect_same_solution(pooled[i], fresh[i], "pooled " + std::to_string(i));
+  }
+}
+
+// ------------------------------------------ certified cold exact solves --
+
+/// The reference every cold exact solve must equal: the Bareiss tableau
+/// over the Rational model, in `solve_scenario`'s shape.
+ScenarioSolution cold_bareiss(const StarPlatform& platform,
+                              const Scenario& scenario,
+                              const LpOptions& options) {
+  const lp::Solution<Rational> lp =
+      build_scenario_lp(platform, scenario, options).solve_exact();
+  ScenarioSolution out;
+  out.scenario = scenario;
+  out.alpha.assign(platform.size(), Rational());
+  out.lp_pivots = lp.pivots;
+  out.lp_feasible = lp.status == lp::Status::Optimal;
+  if (!out.lp_feasible) return out;
+  out.throughput = lp.objective;
+  for (std::size_t k = 0; k < scenario.size(); ++k) {
+    out.alpha[scenario.send_order[k]] = lp.values[k];
+  }
+  return out;
+}
+
+std::uint64_t certified_count() {
+  return obs::MetricsRegistry::process().counter("lp.certified");
+}
+std::uint64_t fallback_count() {
+  return obs::MetricsRegistry::process().counter("lp.certify_fallbacks");
+}
+
+TEST(ScenarioLpCertified, AnswersLikeTheColdBareissSolveOnEveryFamily) {
+  // Every generator family at p = 1..16 and both z regimes, under FIFO in
+  // INC_C and DEC_C order, LIFO, a random general scenario and a
+  // random-subset FIFO scenario, in both port models with no, scalar,
+  // infeasible and per-worker latencies: a cold exact solve must return
+  // the Bareiss answer, certified or not.  Prints the certified share of
+  // each family.
+  const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
+  Rng rng(2424);
+  std::size_t lps = 0;
+  std::size_t mismatches = 0;
+  std::size_t certified = 0;
+  std::size_t other_pivots = 0;
+  for (const gen::GeneratorInfo& info : registry.infos()) {
+    const auto accepts = [&](const std::string& key) {
+      return std::find(info.params.begin(), info.params.end(), key) !=
+             info.params.end();
+    };
+    std::size_t family_lps = 0;
+    std::size_t family_certified = 0;
+    for (std::size_t p = 1; p <= 16; ++p) {
+      for (const double z : {0.35, 2.5}) {
+        gen::GenParams params;
+        if (accepts("p")) params["p"] = static_cast<double>(p);
+        if (accepts("z")) params["z"] = z;
+        if (accepts("z_num")) params["z_num"] = z < 1.0 ? 1.0 : 5.0;
+        if (accepts("lat_hi")) {
+          params["lat_lo"] = 0.5;
+          params["lat_hi"] = 1.5;
+        }
+        const gen::GeneratedPlatform generated =
+            registry.make_generated(info.name, params, rng);
+        const StarPlatform& platform = generated.platform;
+        const std::size_t n = platform.size();
+        const std::vector<std::size_t> order = rng.permutation(n);
+        const std::vector<std::size_t> subset(
+            order.begin(),
+            order.begin() + rng.uniform_int(1, static_cast<std::int64_t>(n)));
+        for (const Scenario& scenario :
+             {Scenario::fifo(platform.order_by_c()),
+              Scenario::fifo(platform.order_by_c_desc()), Scenario::lifo(order),
+              Scenario::general(order, rng.permutation(n)),
+              Scenario::fifo(subset)}) {
+          for (const LpOptions& options : lp_variants(generated, rng)) {
+            const std::uint64_t before = certified_count();
+            const ScenarioSolution got =
+                solve_scenario(platform, scenario, options);
+            const bool was_certified = certified_count() > before;
+            const ScenarioSolution want =
+                cold_bareiss(platform, scenario, options);
+            const bool same = got.lp_feasible == want.lp_feasible &&
+                              got.throughput == want.throughput &&
+                              got.alpha == want.alpha;
+            mismatches += !same;
+            certified += was_certified;
+            family_certified += was_certified;
+            other_pivots += was_certified && got.lp_pivots != want.lp_pivots;
+            ++family_lps;
+            ++lps;
+          }
+        }
+      }
+    }
+    std::cout << info.name << ": " << family_certified << " of " << family_lps
+              << " cold exact LPs certified\n";
+  }
+  // A certified solve reports the double simplex's pivots.  Where that
+  // simplex parts from the exact one (a near-tie, a tolerance), the count
+  // differs from the cold solve's, though the answer cannot.
+  std::cout << certified << " of " << lps << " certified; " << other_pivots
+            << " of them took another number of pivots than the cold solve\n";
+  EXPECT_EQ(mismatches, 0u) << "over " << lps << " LPs";
+  // Which solves certify depends on the double simplex's bits: pinned, so
+  // that a build whose double pivots round differently shows here.
+  EXPECT_EQ(lps, 14080u);
+  EXPECT_EQ(certified, 10110u);
+}
+
+/// `solve_scenario` on `platform`, with the certified and fallen-back
+/// counters' moves.
+struct CountedSolve {
+  ScenarioSolution solution;
+  std::uint64_t certified = 0;
+  std::uint64_t fallbacks = 0;
+};
+
+CountedSolve counted_solve(const StarPlatform& platform,
+                           const Scenario& scenario,
+                           const LpOptions& options) {
+  const std::uint64_t certified = certified_count();
+  const std::uint64_t fallbacks = fallback_count();
+  CountedSolve out;
+  out.solution = solve_scenario(platform, scenario, options);
+  out.certified = certified_count() - certified;
+  out.fallbacks = fallback_count() - fallbacks;
+  return out;
+}
+
+void expect_same_exact(const ScenarioSolution& got,
+                       const ScenarioSolution& want) {
+  EXPECT_EQ(got.lp_feasible, want.lp_feasible);
+  EXPECT_EQ(got.throughput, want.throughput);
+  EXPECT_EQ(got.alpha, want.alpha);
+  EXPECT_EQ(got.scenario.send_order, want.scenario.send_order);
+  EXPECT_EQ(got.scenario.return_order, want.scenario.return_order);
+  EXPECT_EQ(got.lp_warm_starts, 0u);
+}
+
+TEST(ScenarioLpCertified, ALinearRandomStarFifoSolveIsCertified) {
+  Rng rng(31);
+  const StarPlatform platform = gen::random_star(8, rng, 0.5);
+  const Scenario scenario = Scenario::fifo(platform.order_by_c());
+  const CountedSolve got = counted_solve(platform, scenario, LpOptions{});
+  EXPECT_EQ(got.certified, 1u);
+  EXPECT_EQ(got.fallbacks, 0u);
+  expect_same_exact(got.solution,
+                    cold_bareiss(platform, scenario, LpOptions{}));
+  // The double simplex's pivots, which here are the cold solve's too.
+  EXPECT_EQ(got.solution.lp_pivots,
+            solve_scenario_double(platform, scenario).lp_pivots);
+  EXPECT_EQ(got.solution.lp_pivots,
+            cold_bareiss(platform, scenario, LpOptions{}).lp_pivots);
+}
+
+TEST(ScenarioLpCertified, TiedWorkersFallBackToTheColdAnswer) {
+  // Identical workers that compute fast: the one-port row alone binds,
+  // and it prices every worker's load alike, so every split of the total
+  // is optimal and no basis proves the optimum unique.
+  const StarPlatform platform({Worker{0.1, 0.01, 0.05, "A"},
+                               Worker{0.1, 0.01, 0.05, "B"},
+                               Worker{0.1, 0.01, 0.05, "C"}});
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1, 2});
+  const CountedSolve got = counted_solve(platform, scenario, LpOptions{});
+  EXPECT_EQ(got.certified, 0u);
+  EXPECT_EQ(got.fallbacks, 1u);
+  const ScenarioSolution want = cold_bareiss(platform, scenario, LpOptions{});
+  expect_same_exact(got.solution, want);
+  EXPECT_EQ(got.solution.lp_pivots, want.lp_pivots);
+}
+
+TEST(ScenarioLpCertified, InfeasibleLatenciesFallBackToTheColdAnswer) {
+  // Latencies past the horizon: not even alpha = 0 is feasible, so the
+  // double LP has no basis to certify.
+  LpOptions options;
+  options.send_latency = 0.4;
+  options.compute_latency = 0.3;
+  options.return_latency = 0.4;
+  const StarPlatform platform = platform3();
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1, 2});
+  const CountedSolve got = counted_solve(platform, scenario, options);
+  EXPECT_EQ(got.certified, 0u);
+  EXPECT_EQ(got.fallbacks, 1u);
+  EXPECT_FALSE(got.solution.lp_feasible);
+  expect_same_exact(got.solution, cold_bareiss(platform, scenario, options));
+}
+
+TEST(ScenarioLpCertified, APrimalDegenerateVertexFallsBackToTheColdAnswer) {
+  // The chain row's latencies use up the whole horizon (0.25 + 0.5 + 0.25
+  // is exactly 1), so alpha = 0 is the only feasible load: the simplex
+  // enters alpha on a degenerate pivot and leaves it basic at 0.
+  LpOptions options;
+  options.send_latency = 0.25;
+  options.compute_latency = 0.5;
+  options.return_latency = 0.25;
+  const StarPlatform platform({Worker{0.1, 0.2, 0.05, "P1"}});
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0});
+  const lp::Solution<Rational> exact =
+      build_scenario_lp(platform, scenario, options).solve_exact();
+  ASSERT_EQ(exact.status, lp::Status::Optimal);
+  ASSERT_EQ(exact.basic_structurals, (std::vector<std::size_t>{0}));
+  ASSERT_TRUE(exact.values[0].is_zero());
+  const CountedSolve got = counted_solve(platform, scenario, options);
+  EXPECT_EQ(got.certified, 0u);
+  EXPECT_EQ(got.fallbacks, 1u);
+  EXPECT_TRUE(got.solution.lp_feasible);
+  EXPECT_TRUE(got.solution.throughput.is_zero());
+  expect_same_exact(got.solution, cold_bareiss(platform, scenario, options));
+}
+
+TEST(ScenarioLpCertified, AnInfiniteConstantIsRejectedLikeTheColdSolve) {
+  // A platform takes an infinite time; the exact model cannot read it, and
+  // the certificate must not read it as a zero.
+  const double inf = std::numeric_limits<double>::infinity();
+  const StarPlatform platform({Worker{0.1, 0.2, 0.05, "P1"},
+                               Worker{0.2, inf, 0.1, "P2"}});
+  const Scenario scenario = Scenario::fifo(std::vector<std::size_t>{0, 1});
+  EXPECT_THROW((void)build_scenario_lp(platform, scenario), Error);
+  EXPECT_THROW((void)solve_scenario(platform, scenario), Error);
+}
+
+TEST(ScenarioLpCertified, AWarmSeededSolveKeepsTheBareissCrash) {
+  Rng rng(32);
+  const StarPlatform platform = gen::random_star(6, rng, 0.5);
+  const Scenario scenario = Scenario::fifo(platform.order_by_c());
+  const ScenarioSolution cold = solve_scenario(platform, scenario);
+  LpOptions options;
+  options.warm_basis = warm_basis_for(cold.alpha_double(), scenario);
+  ASSERT_FALSE(options.warm_basis.empty());
+  const CountedSolve warm = counted_solve(platform, scenario, options);
+  EXPECT_EQ(warm.certified + warm.fallbacks, 0u);
+  EXPECT_EQ(warm.solution.lp_warm_starts, 1u);
+  EXPECT_EQ(warm.solution.throughput, cold.throughput);
+  EXPECT_EQ(warm.solution.alpha, cold.alpha);
+}
+
+TEST(ScenarioLpCertified, WideBinadesAndTinyConstantsScaleToExactIntegers) {
+  // The integer rows take one power of two for the whole model: constants
+  // 40 binades apart, constants near 2^-1020 and latencies far below the
+  // platform's scale must all land on exact integers.
+  const double c = 0x1.3b1419a7615b1p+0;
+  const double d = 0x1.6b38284502674p-40;
+  const double tiny = 0x1.0000000000001p-1000;
+  LpOptions latencies;
+  latencies.send_latency = 0x1.8p-60;
+  latencies.compute_latency = 0.01;
+  latencies.return_latency = tiny;
+  std::size_t certified = 0;
+  for (const StarPlatform& platform :
+       {StarPlatform({Worker{c, 0.01, d, "P1"}, Worker{0.5, 0.02, 0.25, "P2"},
+                      Worker{c, 0.03, d, "P3"}}),
+        StarPlatform({Worker{tiny, 0.5, tiny, "P1"},
+                      Worker{0.25, 0x1.8p-1020, 0.0, "P2"}})}) {
+    std::vector<std::size_t> order(platform.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (const Scenario& scenario :
+         {Scenario::fifo(order), Scenario::lifo(order)}) {
+      for (LpOptions options : {LpOptions{}, latencies}) {
+        for (const bool one_port : {true, false}) {
+          options.one_port = one_port;
+          const CountedSolve got = counted_solve(platform, scenario, options);
+          certified += got.certified;
+          expect_same_exact(got.solution,
+                            cold_bareiss(platform, scenario, options));
+        }
+      }
+    }
+  }
+  EXPECT_GT(certified, 0u);
+}
+
+TEST(ScenarioLpCertified, PoolLanesCertifyLikeAFreshThread) {
+  // The certificate shares the thread's workspace with the double solve.
+  // Interleave exact solves (certified and fallen back, p = 16 down to 1)
+  // with double solves of other scenarios: on one thread in sequence and
+  // on pool lanes, every exact answer must equal a fresh thread's.
+  Rng rng(4343);
+  LpOptions affine;
+  affine.send_latency = 0.002;
+  affine.compute_latency = 0.01;
+  affine.return_latency = 0.0013;
+  LpOptions infeasible;
+  infeasible.send_latency = 0.15;
+  infeasible.compute_latency = 0.3;
+  infeasible.return_latency = 0.1;
+  LpOptions two_port;
+  two_port.one_port = false;
+  std::vector<DoubleCase> cases;
+  for (const std::size_t p : {16u, 2u, 12u, 1u, 9u, 16u, 3u}) {
+    const StarPlatform platform = gen::random_star(p, rng, 0.8);
+    const StarPlatform tied = gen::random_bus(p, rng, 0.8);
+    const Scenario scenario =
+        Scenario::general(rng.permutation(p), rng.permutation(p));
+    for (const LpOptions& options :
+         {LpOptions{}, two_port, affine, infeasible}) {
+      cases.push_back({platform, scenario, options});
+      cases.push_back({tied, Scenario::fifo(tied.order_by_c()), options});
+    }
+  }
+  auto solve = [&](std::size_t i) {
+    const DoubleCase& other = cases[cases.size() - 1 - i];
+    (void)solve_scenario_double(other.platform, other.scenario, other.options);
+    return solve_scenario(cases[i].platform, cases[i].scenario,
+                          cases[i].options);
+  };
+  std::vector<ScenarioSolution> fresh(cases.size());
+  const std::uint64_t certified = certified_count();
+  const std::uint64_t fallbacks = fallback_count();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::thread([&, i] { fresh[i] = solve(i); }).join();
+  }
+  EXPECT_GT(certified_count(), certified);
+  EXPECT_GT(fallback_count(), fallbacks);
+
+  std::vector<ScenarioSolution> sequence(cases.size());
+  std::thread([&] {
+    for (std::size_t i = 0; i < cases.size(); ++i) sequence[i] = solve(i);
+  }).join();
+  std::vector<ScenarioSolution> pooled(cases.size());
+  fan_out(cases.size(), 4, [&](std::size_t i) { pooled[i] = solve(i); });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_same_exact(sequence[i], fresh[i]);
+    expect_same_exact(pooled[i], fresh[i]);
+    EXPECT_EQ(sequence[i].lp_pivots, fresh[i].lp_pivots);
+    EXPECT_EQ(pooled[i].lp_pivots, fresh[i].lp_pivots);
+  }
+}
+
+// ------------------------------------ the exact model's latency constants --
+
+/// `build_scenario_lp(...).densify<Rational>()` written out term by term:
+/// every chain row adds its send, compute and return latencies one at a
+/// time, as the model did before it took them from prefix sums.
+lp::DenseLp<Rational> term_by_term_model(const StarPlatform& platform,
+                                         const Scenario& scenario,
+                                         const LpOptions& options) {
+  const std::size_t q = scenario.size();
+  std::vector<std::size_t> return_pos(platform.size());
+  for (std::size_t r = 0; r < q; ++r) return_pos[scenario.return_order[r]] = r;
+  const auto exact = [](double x) { return Rational::from_double(x); };
+  lp::DenseLp<Rational> model;
+  model.num_vars = q;
+  model.objective.assign(q, Rational(1));
+  for (std::size_t k = 0; k < q; ++k) {
+    const std::size_t me = scenario.send_order[k];
+    std::vector<Rational> row(q);
+    Rational constants;
+    for (std::size_t j = 0; j <= k; ++j) {
+      row[j] += exact(platform.worker(scenario.send_order[j]).c);
+      constants += exact(options.send_latency_for(scenario.send_order[j]));
+    }
+    row[k] += exact(platform.worker(me).w);
+    constants += exact(options.compute_latency);
+    for (std::size_t j = 0; j < q; ++j) {
+      const std::size_t other = scenario.send_order[j];
+      if (return_pos[other] < return_pos[me]) continue;
+      row[j] += exact(platform.worker(other).d);
+    }
+    for (std::size_t r = return_pos[me]; r < q; ++r) {
+      constants += exact(options.return_latency_for(scenario.return_order[r]));
+    }
+    model.add_row(row, lp::Relation::LessEq, Rational(1) - constants);
+  }
+  if (options.one_port) {
+    std::vector<Rational> row(q);
+    Rational constants;
+    for (std::size_t k = 0; k < q; ++k) {
+      const std::size_t id = scenario.send_order[k];
+      row[k] = exact(platform.worker(id).c) + exact(platform.worker(id).d);
+      constants += exact(options.send_latency_for(id));
+      constants += exact(options.return_latency_for(id));
+    }
+    model.add_row(row, lp::Relation::LessEq, Rational(1) - constants);
+  }
+  return model;
+}
+
+TEST(ScenarioLp, LatencyConstantsMatchATermByTermSum) {
+  // p = 16 with per-worker latencies (and the scalar compute latency),
+  // under FIFO, LIFO and general scenarios in both port models: every
+  // coefficient and right-hand side equals the term-by-term sum.
+  Rng rng(1616);
+  const StarPlatform platform = gen::random_star(16, rng, 0.7);
+  for (int draw = 0; draw < 4; ++draw) {
+    LpOptions options;
+    options.compute_latency = rng.uniform(0.0, 0.01);
+    for (std::size_t i = 0; i < platform.size(); ++i) {
+      options.send_latencies.push_back(rng.uniform(0.0, 0.004));
+      options.return_latencies.push_back(rng.uniform(0.0, 0.003));
+    }
+    const std::vector<std::size_t> order = rng.permutation(16);
+    for (const Scenario& scenario :
+         {Scenario::fifo(order), Scenario::lifo(order),
+          Scenario::general(order, rng.permutation(16)),
+          Scenario::fifo(
+              std::vector<std::size_t>(order.begin(), order.begin() + 5))}) {
+      for (const bool one_port : {true, false}) {
+        options.one_port = one_port;
+        const lp::DenseLp<Rational> got =
+            build_scenario_lp(platform, scenario, options).densify<Rational>();
+        const lp::DenseLp<Rational> want =
+            term_by_term_model(platform, scenario, options);
+        EXPECT_EQ(got.num_vars, want.num_vars);
+        EXPECT_EQ(got.relations, want.relations);
+        EXPECT_EQ(got.objective, want.objective);
+        EXPECT_EQ(got.coefficients, want.coefficients);
+        EXPECT_EQ(got.rhs, want.rhs);
+      }
+    }
   }
 }
 

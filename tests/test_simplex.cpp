@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "core/scenario_lp.hpp"
+#include "lp/certificate.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "numeric/rational.hpp"
@@ -418,6 +419,138 @@ TEST(SimplexDoublePin, SolvesEveryLpToThePinnedBits) {
   EXPECT_EQ(lps, 10448u);
   EXPECT_GT(infeasible, 0u);
   EXPECT_EQ(digest, 0xb2bc9f6f8472f7ecULL);
+}
+
+// ------------------------------------------- the optimal-basis certificate --
+
+/// `rows` (each num_vars coefficients, then the right-hand side) as an
+/// integer LP maximizing `objective`.
+IntegerLp integer_lp(const std::vector<std::vector<std::int64_t>>& rows,
+                     const std::vector<std::int64_t>& objective) {
+  IntegerLp lp;
+  lp.num_vars = objective.size();
+  for (const std::int64_t c : objective) lp.objective.emplace_back(c);
+  for (const std::vector<std::int64_t>& row : rows) {
+    for (std::size_t j = 0; j < lp.num_vars; ++j) {
+      lp.coefficients.emplace_back(row[j]);
+    }
+    lp.rhs.emplace_back(row[lp.num_vars]);
+  }
+  return lp;
+}
+
+/// The same LP as a Rational model, for the reference solves.
+LpProblem rational_lp(const IntegerLp& lp) {
+  LpProblem p;
+  for (std::size_t j = 0; j < lp.num_vars; ++j) {
+    p.set_objective(p.add_variable("v" + std::to_string(j)),
+                    Rational(lp.objective[j]));
+  }
+  for (std::size_t i = 0; i < lp.num_rows(); ++i) {
+    std::vector<Term> terms;
+    for (std::size_t j = 0; j < lp.num_vars; ++j) {
+      if (!lp.at(i, j).is_zero()) terms.push_back({j, Rational(lp.at(i, j))});
+    }
+    p.add_constraint(std::move(terms), Relation::LessEq, Rational(lp.rhs[i]));
+  }
+  return p;
+}
+
+bool certifies(const IntegerLp& lp, const std::vector<std::size_t>& basis) {
+  BasisCertificate certificate;
+  Solution<Rational> out;
+  return certificate.certify(lp, basis, out);
+}
+
+TEST(BasisCertificate, CertifiesTheDoubleBasisOfAUniqueOptimum) {
+  // max 3x + 5y  s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  ->  36 at (2, 6).
+  const IntegerLp lp =
+      integer_lp({{1, 0, 4}, {0, 2, 12}, {3, 2, 18}}, {3, 5});
+  const Solution<double> approx = rational_lp(lp).solve_double();
+  ASSERT_EQ(approx.status, Status::Optimal);
+  ASSERT_EQ(approx.basis.size(), 3u);  // one column per row, slack included
+  BasisCertificate certificate;
+  Solution<Rational> out;
+  ASSERT_TRUE(certificate.certify(lp, approx.basis, out));
+  EXPECT_EQ(out.status, Status::Optimal);
+  EXPECT_EQ(out.objective, rat(36));
+  EXPECT_EQ(out.values, (std::vector<Rational>{rat(2), rat(6)}));
+}
+
+TEST(BasisCertificate, RejectsATiedOptimum) {
+  // max x + y  s.t. x + y <= 1: every point of the edge is optimal, so the
+  // nonbasic variable prices at exactly zero.
+  const IntegerLp lp = integer_lp({{1, 1, 1}}, {1, 1});
+  const Solution<double> approx = rational_lp(lp).solve_double();
+  ASSERT_EQ(approx.status, Status::Optimal);
+  EXPECT_FALSE(certifies(lp, approx.basis));
+}
+
+TEST(BasisCertificate, RejectsBasesThatAreNotOptimalFeasibleOrWellFormed) {
+  const IntegerLp lp =
+      integer_lp({{1, 0, 4}, {0, 2, 12}, {3, 2, 18}}, {3, 5});
+  // Columns 0 and 1 are x and y, 2 + i the slack of row i.
+  ASSERT_TRUE(certifies(lp, {2, 1, 0}));   // the optimal basis, any order
+  EXPECT_FALSE(certifies(lp, {2, 3, 4}));  // the slack basis: not optimal
+  EXPECT_FALSE(certifies(lp, {0, 1, 4}));  // x = 4, y = 6: 3x + 2y > 18
+  EXPECT_FALSE(certifies(lp, {0, 1}));     // one column short
+  EXPECT_FALSE(certifies(lp, {0, 1, 1}));  // a column twice
+  EXPECT_FALSE(certifies(lp, {0, 1, 5}));  // an artificial (n + m = 5)
+  // A singular basis system: two copies of one row.
+  const IntegerLp twin = integer_lp({{1, 1, 2}, {1, 1, 2}}, {1, 2});
+  EXPECT_FALSE(certifies(twin, {0, 1}));
+}
+
+TEST(BasisCertificate, RejectsABasicStructuralAtZero) {
+  // max x + y  s.t. x + y <= 0, x + 2y <= 1: the only feasible point with
+  // x + y = 0 on both axes is the origin, reached by a degenerate pivot
+  // that leaves x basic at 0.
+  const IntegerLp lp = integer_lp({{1, 1, 0}, {1, 2, 1}}, {1, 1});
+  const Solution<double> approx = rational_lp(lp).solve_double();
+  ASSERT_EQ(approx.status, Status::Optimal);
+  EXPECT_EQ(approx.basic_structurals, (std::vector<std::size_t>{0}));
+  EXPECT_FALSE(certifies(lp, approx.basis));
+}
+
+TEST(BasisCertificate, AgreesWithBareissOnRandomPackingLps) {
+  // The randomized packing LPs above, in integers (coefficients in
+  // quarters, so 4x every row): a certified basis must give the exact
+  // optimum, and most of these optima are unique.
+  Rng rng(2525);
+  std::size_t certified = 0;
+  for (int instance = 0; instance < 200; ++instance) {
+    const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 6));
+    std::vector<std::vector<std::int64_t>> rows;
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<std::int64_t> row;
+      for (std::size_t j = 0; j < n; ++j) row.push_back(rng.uniform_int(0, 8));
+      if (std::all_of(row.begin(), row.end(),
+                      [](std::int64_t v) { return v == 0; })) {
+        row[0] = 4;
+      }
+      row.push_back(4);
+      rows.push_back(std::move(row));
+    }
+    rows.emplace_back(n, 1);  // the cap: sum / 8 <= 1, times 8
+    rows.back().push_back(8);
+    std::vector<std::int64_t> objective;
+    for (std::size_t j = 0; j < n; ++j) {
+      objective.push_back(rng.uniform_int(1, 5));
+    }
+    const IntegerLp lp = integer_lp(rows, objective);
+    const LpProblem model = rational_lp(lp);
+    const Solution<double> approx = model.solve_double();
+    ASSERT_EQ(approx.status, Status::Optimal);
+    BasisCertificate certificate;
+    Solution<Rational> out;
+    if (!certificate.certify(lp, approx.basis, out)) continue;
+    ++certified;
+    const Solution<Rational> exact = model.solve_exact();
+    EXPECT_EQ(out.objective, exact.objective) << "instance " << instance;
+    EXPECT_EQ(out.values, exact.values) << "instance " << instance;
+  }
+  EXPECT_GT(certified, 100u);
 }
 
 }  // namespace
