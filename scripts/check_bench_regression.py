@@ -29,13 +29,6 @@ deterministic for a given spec, so any increase over the baseline is a
 code regression -- no tolerance, no calibration.  Disable with
 --no-pivot-check when intentionally changing pivot rules.
 
-The warm-start micros (affine_subset_warm, scenario_lp_warm,
-churn_resolve) are additionally required to report lp_warm_starts >= 1 in
-CURRENT, and affine_subset_warm must spend strictly fewer pivots than its
-affine_subset_cold twin at the same param: a silent cold-path regression
-(seeds never accepted again) keeps wall times plausible while zeroing
-exactly these counters.  Disable with --no-warm-check.
-
 Exit status: 0 when no group regressed, 1 otherwise, 2 on usage errors.
 """
 
@@ -70,35 +63,6 @@ def group_pivot_counts(rows):
         key = group_key(row)
         sums[key] = sums.get(key, 0) + int(row["lp_pivots"])
     return sums
-
-
-WARM_MICROS = ("affine_subset_warm", "scenario_lp_warm", "churn_resolve")
-
-
-def warm_start_failures(rows):
-    """Warm micros must actually warm-start, and the warm subset scan must
-    strictly beat its cold twin's pivot ledger.  Only fires on specs that
-    carry these benches (micro_substrate); returns failure strings."""
-    failures = []
-    cold_pivots = {}
-    for row in rows:
-        if row.get("bench") == "affine_subset_cold" and "lp_pivots" in row:
-            cold_pivots[row.get("param")] = int(row["lp_pivots"])
-    for row in rows:
-        bench = row.get("bench")
-        if bench not in WARM_MICROS:
-            continue
-        key = (bench, row.get("param"))
-        if int(row.get("lp_warm_starts", 0)) < 1:
-            failures.append(
-                f"{key}: lp_warm_starts == 0 (silent cold-path regression)")
-        if bench == "affine_subset_warm":
-            cold = cold_pivots.get(row.get("param"))
-            if cold is not None and int(row.get("lp_pivots", cold)) >= cold:
-                failures.append(
-                    f"{key}: lp_pivots {row.get('lp_pivots')} not strictly "
-                    f"below the cold twin's {cold}")
-    return failures
 
 
 def group_wall_times(rows):
@@ -144,9 +108,6 @@ def main():
     parser.add_argument("--no-pivot-check", action="store_true",
                         help="skip the exact lp_pivots comparison (use when "
                              "intentionally changing pivot rules)")
-    parser.add_argument("--no-warm-check", action="store_true",
-                        help="skip the warm-micro lp_warm_starts / "
-                             "pivot-decrease assertions")
     args = parser.parse_args()
 
     base_spec, base_rows = load_rows(args.baseline)
@@ -219,12 +180,6 @@ def main():
                 print(f"  {str(key).ljust(width)}  {base_pivots[key]:>8} -> "
                       f"{cur_pivots[key]:>8}{flag}")
 
-    warm_failures = [] if args.no_warm_check else warm_start_failures(cur_rows)
-    if warm_failures:
-        print(f"\n{len(warm_failures)} warm-micro assertion(s) failed:")
-        for failure in warm_failures:
-            print(f"  {failure}")
-
     if regressions:
         print(f"\n{len(regressions)} group(s) regressed beyond "
               f"{args.tolerance}x (floor {args.floor_seconds}s):")
@@ -235,7 +190,7 @@ def main():
               f"pivot count:")
         for key, base, cur in pivot_regressions:
             print(f"  {key}: {base} -> {cur} pivots")
-    if regressions or pivot_regressions or warm_failures:
+    if regressions or pivot_regressions:
         return 1
     print(f"\nno regressions beyond {args.tolerance}x "
           f"({len(current)} group(s) checked)")

@@ -51,40 +51,6 @@ bool offer(AffineSelectionResult& result, ScenarioSolution solution) {
   return true;
 }
 
-/// Warm-chain bookkeeping shared by the exact scans: accumulates pivot
-/// counters against the most recent cold solve of the *same subset size*
-/// (LP dimension equals enrolled count, so a same-size cold solve is the
-/// honest yardstick -- the chain walks subsets of wildly different sizes)
-/// and refreshes the parent hint for the next LP.
-struct WarmChain {
-  static constexpr std::size_t kNoRef = SIZE_MAX;
-
-  bool enabled = false;
-  std::vector<double> parent_alpha;  ///< hint for the next solve
-  std::vector<std::size_t> cold_ref; ///< last cold pivots, by subset size
-
-  void account(AffineSelectionResult& result,
-               const ScenarioSolution& solution) {
-    result.lp_pivots_total += solution.lp_pivots;
-    const std::size_t size = solution.scenario.send_order.size();
-    if (cold_ref.size() <= size) cold_ref.resize(size + 1, kNoRef);
-    if (solution.lp_warm_starts > 0) {
-      ++result.lp_warm_starts;
-      if (cold_ref[size] != kNoRef && cold_ref[size] > solution.lp_pivots) {
-        result.lp_pivots_saved += cold_ref[size] - solution.lp_pivots;
-      }
-    } else {
-      cold_ref[size] = solution.lp_pivots;
-    }
-    if (enabled) parent_alpha = solution.alpha_double();
-  }
-
-  [[nodiscard]] const std::vector<double>& hint() const {
-    static const std::vector<double> kCold;
-    return enabled ? parent_alpha : kCold;
-  }
-};
-
 // ------------------------------------------------- fast (double) screen --
 //
 // Precision::Fast evaluates every candidate subset with the double simplex
@@ -407,14 +373,14 @@ AffineSelectionResult solve_affine_fifo_best_subset(
   double best_seen = -std::numeric_limits<double>::infinity();
   // Prefix priming: the optimal subset is usually (one move away from) a
   // prefix of the non-decreasing-c order, so solving the p prefixes first
-  // -- one tight warm chain, each step adds one worker -- buys a
-  // near-optimal pruning floor for the whole scan at the cost of p LPs.
-  // The primed solutions are deliberately NOT offered as incumbents: the
-  // floor only prunes subsets *strictly* below it, so the Gray walk still
-  // elects exactly the winner the plain scan would (ties included), and
-  // the floor's own witness survives to be re-solved in place.  The fast
-  // scan primes from the double prefixes instead: their throughputs less
-  // the margin are exact lower bounds under the screen's error model.
+  // buys a near-optimal pruning floor for the whole scan at the cost of p
+  // LPs.  The primed solutions are deliberately NOT offered as
+  // incumbents: the floor only prunes subsets *strictly* below it, so the
+  // Gray walk still elects exactly the winner the plain scan would (ties
+  // included), and the floor's own witness survives to be re-solved in
+  // place.  The fast scan primes from the double prefixes instead: their
+  // throughputs less the margin are exact lower bounds under the screen's
+  // error model.
   if (options.prune && options.use_fast_lp) {
     std::vector<std::size_t> prefix;
     prefix.reserve(p);
@@ -427,15 +393,13 @@ AffineSelectionResult solve_affine_fifo_best_subset(
       }
     }
   } else if (options.prune) {
-    WarmChain prefix_chain;
-    prefix_chain.enabled = options.warm_start;
     std::vector<std::size_t> prefix;
     prefix.reserve(p);
     for (std::size_t k = 0; k < p; ++k) {
       prefix.push_back(order[k]);
-      const ScenarioSolution solution = solve_affine_fifo_sorted(
-          platform, prefix, costs, prefix_chain.hint());
-      prefix_chain.account(result, solution);
+      const ScenarioSolution solution =
+          solve_affine_fifo_sorted(platform, prefix, costs);
+      result.lp_pivots_total += solution.lp_pivots;
       if (solution.lp_feasible) {
         prune_below = std::max(prune_below, floor_of(solution.throughput));
         best_seen = std::max(best_seen, solution.throughput.to_double());
@@ -452,11 +416,7 @@ AffineSelectionResult solve_affine_fifo_best_subset(
                        result.exact_resolves, ceiling);
     return result;
   }
-  // Gray-code walk: consecutive masks differ by exactly one worker, so the
-  // previous LP is structurally adjacent to the next one -- the tightest
-  // possible parent for the warm-start seed.
-  WarmChain chain;
-  chain.enabled = options.warm_start;
+  // Gray-code walk: consecutive masks differ by exactly one worker.
   std::vector<std::size_t> subset;  // one buffer reused across all masks
   subset.reserve(p);
   for (std::size_t n = 1; n < (std::size_t{1} << p); ++n) {
@@ -492,24 +452,14 @@ AffineSelectionResult solve_affine_fifo_best_subset(
       }
     }
     ScenarioSolution solution =
-        solve_affine_fifo_sorted(platform, subset, costs, chain.hint());
-    chain.account(result, solution);
+        solve_affine_fifo_sorted(platform, subset, costs);
+    result.lp_pivots_total += solution.lp_pivots;
     if (offer(result, std::move(solution))) {
       prune_below = std::max(prune_below, floor_of(result.best.throughput));
       best_seen = std::max(best_seen, result.best.throughput.to_double());
     }
   }
   return result;
-}
-
-AffineSelectionResult solve_affine_fifo_best_subset(
-    const StarPlatform& platform, const AffineCosts& costs,
-    std::size_t max_workers, double time_budget_seconds, bool use_fast_lp) {
-  AffineSubsetOptions options;
-  options.max_workers = max_workers;
-  options.time_budget_seconds = time_budget_seconds;
-  options.use_fast_lp = use_fast_lp;
-  return solve_affine_fifo_best_subset(platform, costs, options);
 }
 
 namespace {
@@ -523,10 +473,6 @@ AffineSelectionResult greedy_scan(const StarPlatform& platform,
   const std::vector<std::size_t> order = platform.order_by_c();
   AffineSelectionResult result;
   std::vector<FastCandidate> candidates;
-  WarmChain chain;
-  // Prefix k and prefix k+1 are adjacent, so the exact scan warm-chains
-  // them just like the subset walk does.
-  chain.enabled = !use_fast_lp;
   for (std::size_t k = 1; k <= order.size(); ++k) {
     const std::span<const std::size_t> prefix(order.data(), k);
     ++result.subsets_tried;
@@ -557,8 +503,8 @@ AffineSelectionResult greedy_scan(const StarPlatform& platform,
       continue;
     }
     ScenarioSolution solution =
-        solve_affine_fifo_sorted(platform, prefix, costs, chain.hint());
-    chain.account(result, solution);
+        solve_affine_fifo_sorted(platform, prefix, costs);
+    result.lp_pivots_total += solution.lp_pivots;
     if (!solution.lp_feasible) break;  // longer prefixes only add constants
     offer(result, std::move(solution));
   }
@@ -647,13 +593,6 @@ AffineSelectionResult solve_affine_fifo_local_search(
     std::optional<std::pair<std::size_t, std::size_t>> best_move;
     std::vector<FastCandidate> candidates;
     std::vector<std::pair<std::size_t, std::size_t>> moves;
-    // Every move differs from the sweep incumbent by at most two workers,
-    // so the incumbent's alpha support is the natural warm-start parent
-    // for each exact evaluation of the sweep.
-    const std::vector<double> parent_alpha =
-        (options.warm_start && !options.use_fast_lp)
-            ? result.best.alpha_double()
-            : std::vector<double>{};
     const auto consider = [&](std::size_t drop, std::size_t add) {
       // drop == p: pure add; add == p: pure drop.
       std::size_t mask = member_mask;
@@ -671,9 +610,8 @@ AffineSelectionResult solve_affine_fifo_local_search(
         return;
       }
       ScenarioSolution solution =
-          solve_affine_fifo(platform, candidate_buf, costs, parent_alpha);
+          solve_affine_fifo(platform, candidate_buf, costs);
       result.lp_pivots_total += solution.lp_pivots;
-      if (solution.lp_warm_starts > 0) ++result.lp_warm_starts;
       if (offer(round, std::move(solution))) {
         best_move = {drop, add};
       }
@@ -708,8 +646,6 @@ AffineSelectionResult solve_affine_fifo_local_search(
       round.subsets_tried = result.subsets_tried;
       round.exact_resolves = result.exact_resolves;
       round.lp_pivots_total = result.lp_pivots_total;
-      round.lp_warm_starts = result.lp_warm_starts;
-      round.lp_pivots_saved = result.lp_pivots_saved;
       round.budget_exhausted = result.budget_exhausted;
       return round;
     }
@@ -719,8 +655,6 @@ AffineSelectionResult solve_affine_fifo_local_search(
     round.subsets_tried = result.subsets_tried;
     round.exact_resolves = result.exact_resolves;
     round.lp_pivots_total = result.lp_pivots_total;
-    round.lp_warm_starts = result.lp_warm_starts;
-    round.lp_pivots_saved = result.lp_pivots_saved;
     round.budget_exhausted = result.budget_exhausted;
     result = std::move(round);
     if (result.budget_exhausted) break;

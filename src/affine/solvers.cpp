@@ -97,8 +97,6 @@ void adopt_selection(const SolveRequest& request, AffineSelectionResult&& result
                      SolveResult& out) {
   out.scenarios_tried = result.subsets_tried;
   out.lp_fallbacks = result.exact_resolves;
-  out.lp_warm_starts = result.lp_warm_starts;
-  out.lp_pivots_saved = result.lp_pivots_saved;
   out.subsets_pruned = result.subsets_pruned;
   out.subsets_screened = result.subsets_screened;
   out.budget_exhausted = result.budget_exhausted;
@@ -159,9 +157,8 @@ class AffineFifoSolver final : public Solver {
       // exactly: the exact LP is the arbiter either way.
       out.lp_fallbacks = 1;
     }
-    out.solution = solve_affine_fifo(platform, std::move(participants),
-                                     request.costs, request.warm_alpha);
-    out.lp_warm_starts = out.solution.lp_warm_starts;
+    out.solution =
+        solve_affine_fifo(platform, std::move(participants), request.costs);
     if (!out.solution.lp_feasible) out.participants.clear();
     finish_affine(request, out);
     if (out.lp_fallbacks > 0) {
@@ -220,15 +217,17 @@ class AffineSubsetSolver final : public Solver {
   }
 
   SolveResult solve(const SolveRequest& request) const override {
+    AffineSubsetOptions options;
+    options.max_workers = request.max_workers_subset;
+    options.time_budget_seconds = request.time_budget_seconds;
+    options.use_fast_lp = use_fast_lp(request);
     SolveResult out;
     out.solver = name();
     out.schedule_platform = request.platform;
     adopt_selection(
         request,
         solve_affine_fifo_best_subset(request.platform, request.costs,
-                                      request.max_workers_subset,
-                                      request.time_budget_seconds,
-                                      use_fast_lp(request)),
+                                      options),
         out);
     // A completed enumeration is exact over subsets of the INC_C order.
     out.provably_optimal = !out.budget_exhausted;

@@ -58,37 +58,30 @@ void check_sorted(const StarPlatform& platform,
       "participants must already be in non-decreasing-c order");
 }
 
-/// Exact solve of a presorted FIFO scenario, warm-started from
-/// `parent_alpha`'s support when non-empty.
+/// Exact solve of a presorted FIFO scenario.
 ScenarioSolution solve_sorted(const StarPlatform& platform,
                               std::span<const std::size_t> participants,
-                              const AffineCosts& costs,
-                              const std::vector<double>& parent_alpha) {
-  const Scenario scenario = Scenario::fifo(participants);
-  LpOptions options = costs.lp_options();
-  if (!parent_alpha.empty()) {
-    options.warm_basis = warm_basis_for(parent_alpha, scenario);
-  }
-  return solve_scenario(platform, scenario, options);
+                              const AffineCosts& costs) {
+  return solve_scenario(platform, Scenario::fifo(participants),
+                        costs.lp_options());
 }
 
 }  // namespace
 
 ScenarioSolution solve_affine_fifo(const StarPlatform& platform,
                                    std::vector<std::size_t> participants,
-                                   const AffineCosts& costs,
-                                   const std::vector<double>& parent_alpha) {
+                                   const AffineCosts& costs) {
   return solve_sorted(
       platform, fifo_participants(platform, std::move(participants), costs),
-      costs, parent_alpha);
+      costs);
 }
 
 ScenarioSolution solve_affine_fifo_sorted(
     const StarPlatform& platform, std::span<const std::size_t> participants,
-    const AffineCosts& costs, const std::vector<double>& parent_alpha) {
+    const AffineCosts& costs) {
   check_affine_inputs(platform, participants, costs);
   check_sorted(platform, participants);
-  return solve_sorted(platform, participants, costs, parent_alpha);
+  return solve_sorted(platform, participants, costs);
 }
 
 ScenarioSolutionD solve_affine_fifo_fast(const StarPlatform& platform,

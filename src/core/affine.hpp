@@ -76,15 +76,9 @@ struct AffineCosts {
 /// FIFO affine LP over exactly the given participants (non-decreasing c
 /// order is applied internally).  Workers outside `participants` pay
 /// nothing.  lp_feasible is false when the constants alone exceed T = 1.
-///
-/// `parent_alpha` (platform-indexed doubles; empty = cold solve) warm-starts
-/// the exact LP from the support of a structurally adjacent solution -- see
-/// `warm_basis_for`.  The hint never changes the answer, only the pivot
-/// count; `lp_warm_starts` in the result records whether the seed was
-/// accepted.
 [[nodiscard]] ScenarioSolution solve_affine_fifo(
     const StarPlatform& platform, std::vector<std::size_t> participants,
-    const AffineCosts& costs, const std::vector<double>& parent_alpha = {});
+    const AffineCosts& costs);
 
 /// Same LP over participants that are ALREADY in the order
 /// `solve_affine_fifo` would produce (non-decreasing c, stable on the
@@ -93,7 +87,7 @@ struct AffineCosts {
 /// equal c cannot be checked and is the caller's contract).
 [[nodiscard]] ScenarioSolution solve_affine_fifo_sorted(
     const StarPlatform& platform, std::span<const std::size_t> participants,
-    const AffineCosts& costs, const std::vector<double>& parent_alpha = {});
+    const AffineCosts& costs);
 
 /// Double-precision variant of the same LP (Precision::Fast screening):
 /// identical model and participant ordering, solved with the double
@@ -104,7 +98,7 @@ struct AffineCosts {
     const AffineCosts& costs);
 
 /// Presorted-participants variant of the fast screen (same contract as
-/// `solve_affine_fifo_sorted`; the double path ignores warm hints).
+/// `solve_affine_fifo_sorted`).
 [[nodiscard]] ScenarioSolutionD solve_affine_fifo_fast_sorted(
     const StarPlatform& platform, std::span<const std::size_t> participants,
     const AffineCosts& costs);

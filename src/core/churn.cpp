@@ -107,21 +107,10 @@ ResolveResult resolve(const SolveRequest& request,
                       const PlatformDelta& delta) {
   ChurnedPlatform churned =
       apply_delta(request.platform, request.costs, delta);
-  const Scenario scenario =
-      Scenario::fifo(churned.platform.order_by_c());
-  LpOptions options = churned.costs.lp_options(!request.two_port);
-  if (!request.warm_alpha.empty()) {
-    DLSCHED_EXPECT(request.warm_alpha.size() == request.platform.size(),
-                   "churn: warm_alpha must be pre-churn platform-indexed");
-    std::vector<double> remapped(churned.platform.size(), 0.0);
-    for (std::size_t i = 0; i < request.warm_alpha.size(); ++i) {
-      const std::size_t j = churned.old_to_new[i];
-      if (j != SIZE_MAX) remapped[j] = request.warm_alpha[i];
-    }
-    options.warm_basis = warm_basis_for(remapped, scenario);
-  }
   ResolveResult out;
-  out.solution = solve_scenario(churned.platform, scenario, options);
+  out.solution = solve_scenario(
+      churned.platform, Scenario::fifo(churned.platform.order_by_c()),
+      churned.costs.lp_options(!request.two_port));
   out.platform = std::move(churned.platform);
   out.old_to_new = std::move(churned.old_to_new);
   out.costs = std::move(churned.costs);

@@ -2,12 +2,10 @@
 // running computation (a worker joins, leaves, or slows down).
 //
 // The paper's LPs are solved for a fixed platform; in a deployment the
-// platform drifts.  Re-solving from scratch costs a full Phase I; the
-// pre-churn optimum is a structurally adjacent basis, so `resolve`
-// crash-starts the new FIFO LP from the old solution's alpha support
-// (core/scenario_lp.hpp's `warm_basis_for`) and falls back cold when the
-// seed no longer fits -- the answer is bit-identical to a cold solve
-// either way, only the pivot count moves.
+// platform drifts.  `apply_delta` rewrites the platform and re-indexes the
+// request's costs, and `resolve` solves the INC_C FIFO LP of the churned
+// platform exactly, through the same certified path as every other exact
+// solve (core/scenario_lp.hpp).
 //
 // `execute_stale` quantifies what churn costs when nobody re-solves: the
 // pre-churn loads are replayed on the churned platform by the DES engine
@@ -63,12 +61,10 @@ struct ResolveResult {
   AffineCosts costs;          ///< re-indexed costs used for the solve
 };
 
-/// Re-solves the INC_C FIFO LP after `delta` hits `request.platform`.
-/// `request.warm_alpha` (the pre-churn loads, pre-churn indexing) is
-/// remapped through the index map and used as the warm-start seed; leave
-/// it empty for a cold re-solve.  Honours `request.two_port` and the
-/// request's affine costs.  The warm hint never changes the solution
-/// (`solution.lp_warm_starts` records whether the seed was accepted).
+/// Re-solves the INC_C FIFO LP after `delta` hits `request.platform`:
+/// `solve_scenario` on the churned platform and re-indexed costs, so the
+/// answer is bit for bit that of a fresh solve there.  Honours
+/// `request.two_port` and the request's affine costs.
 [[nodiscard]] ResolveResult resolve(const SolveRequest& request,
                                     const PlatformDelta& delta);
 

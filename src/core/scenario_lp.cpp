@@ -368,16 +368,6 @@ ThreadWorkspace& thread_workspace() noexcept {
 
 }  // namespace
 
-std::vector<std::size_t> warm_basis_for(
-    const std::vector<double>& parent_alpha, const Scenario& child) {
-  std::vector<std::size_t> seed;
-  for (std::size_t k = 0; k < child.send_order.size(); ++k) {
-    const std::size_t w = child.send_order[k];
-    if (w < parent_alpha.size() && parent_alpha[w] > 0.0) seed.push_back(k);
-  }
-  return seed;  // sorted by construction (ascending sigma_1 positions)
-}
-
 lp::LpProblem build_scenario_lp(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
@@ -398,9 +388,9 @@ lp::LpProblem build_scenario_lp(const StarPlatform& platform,
   // chain row i, and modelling both would put two identical columns in
   // every row -- any optimum with a non-binding chain row would then have
   // a zero-reduced-cost twin, making every solution non-unique by
-  // construction and defeating the warm-start uniqueness gate.  Chain rows
-  // are added in sigma_1 order, so `row_slack(k, values)` is the idle time
-  // of worker send_order[k]; solves do not compute it.
+  // construction, so no certificate could hold.  Chain rows are added in
+  // sigma_1 order, so `row_slack(k, values)` is the idle time of worker
+  // send_order[k]; solves do not compute it.
   std::vector<std::size_t> alpha_var(q);
   for (std::size_t k = 0; k < q; ++k) {
     const std::size_t w = scenario.send_order[k];
@@ -472,7 +462,7 @@ lp::DenseLp<double> build_scenario_lp_double(const StarPlatform& platform,
 
 namespace {
 
-/// The cold exact solve without the Bareiss tableau: solves the double LP
+/// The exact solve without the Bareiss tableau: solves the double LP
 /// in the thread's workspace and certifies its final basis on the exact
 /// integer model.  True when the certificate holds; then `out` is the
 /// unique optimum, bit for bit what `build_scenario_lp(...).solve_exact()`
@@ -481,8 +471,8 @@ bool solve_certified(const StarPlatform& platform, const Scenario& scenario,
                      const LpOptions& options, lp::Solution<Rational>& out) {
   ThreadWorkspace& ws = thread_workspace();
   fill_scenario_lp_double(platform, scenario, options, ws.scratch, ws.lp);
-  // A platform may hold an infinite constant, which no binary fraction
-  // reads: the cold solve rejects it.
+  // Finite constants can still overflow a double sum (c + w + d past
+  // DBL_MAX): the exact model holds such a row, the double LP cannot.
   if (!std::all_of(ws.lp.coefficients.begin(), ws.lp.coefficients.end(),
                    [](double x) { return std::isfinite(x); })) {
     return false;
@@ -505,25 +495,16 @@ ScenarioSolution solve_scenario(const StarPlatform& platform,
                                 const Scenario& scenario,
                                 const LpOptions& options) {
   lp::Solution<Rational> lp_solution;
-  lp::WarmInfo warm;
-  if (options.warm_basis.empty()) {
-    const bool certified =
-        solve_certified(platform, scenario, options, lp_solution);
-    obs::MetricsRegistry::process().add(certified ? "lp.certified"
-                                                  : "lp.certify_fallbacks");
-    if (!certified) {
-      lp_solution =
-          build_scenario_lp(platform, scenario, options).solve_exact();
-    }
-  } else {
-    lp_solution = build_scenario_lp(platform, scenario, options)
-                      .solve_exact(lp::ExactEngine::Bareiss,
-                                   lp::WarmBasis{options.warm_basis}, &warm);
+  const bool certified =
+      solve_certified(platform, scenario, options, lp_solution);
+  obs::MetricsRegistry::process().add(certified ? "lp.certified"
+                                                : "lp.certify_fallbacks");
+  if (!certified) {
+    lp_solution = build_scenario_lp(platform, scenario, options).solve_exact();
   }
 
   ScenarioSolution out;
   out.scenario = scenario;
-  out.lp_warm_starts = warm.accepted ? 1 : 0;
   if (lp_solution.status == lp::Status::Infeasible) {
     DLSCHED_EXPECT(options.is_affine(),
                    "linear-model scenario LP cannot be infeasible");

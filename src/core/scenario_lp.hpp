@@ -14,16 +14,16 @@
 // chain rows (2a) rather than explicit columns.  Modelling them as columns
 // alongside the solver's own row slacks would duplicate every chain row's
 // slack column, so any optimum with a non-binding chain row would carry a
-// zero-reduced-cost twin and the warm-start uniqueness gate (lp/simplex.hpp)
-// could never accept a seed.  A solve does not report x_i: the realized
+// zero-reduced-cost twin, and no basis could prove the optimum unique
+// (lp/certificate.hpp).  A solve does not report x_i: the realized
 // schedule re-derives every gap from alpha (`realize_schedule`), and
 // `LpProblem::row_slack` recovers x_i exactly from the LP values.
 //
-// An exact solve rarely pivots an exact tableau.  A cold one solves the
-// double LP, builds the exact model as integer rows straight from the
-// platform's bits, and proves the double basis optimal and the optimum
-// unique (`lp::BasisCertificate`); only when that proof fails does it run
-// the fraction-free Bareiss simplex on `build_scenario_lp`'s model.  Both
+// An exact solve rarely pivots an exact tableau.  It solves the double LP,
+// builds the exact model as integer rows straight from the platform's
+// bits, and proves the double basis optimal and the optimum unique
+// (`lp::BasisCertificate`); only when that proof fails does it run the
+// fraction-free Bareiss simplex on `build_scenario_lp`'s model.  Both
 // routes return the same canonical rationals.
 #pragma once
 
@@ -45,9 +45,6 @@ struct ScenarioSolution {
   std::vector<Rational> alpha;        ///< indexed by *platform* worker id
   Scenario scenario;                  ///< the scenario that was solved
   std::size_t lp_pivots = 0;
-  /// 1 when this solve was warm-started from `LpOptions::warm_basis` and
-  /// the seed was accepted (0 on cold solves and cold fallbacks).
-  std::size_t lp_warm_starts = 0;
   bool lp_feasible = true;            ///< false only with affine constants
 
   /// Workers with alpha > 0 (resource selection outcome).
@@ -75,13 +72,6 @@ struct LpOptions {
   std::vector<double> send_latencies;
   std::vector<double> return_latencies;
 
-  /// Warm-start seed in this LP's structural-variable space (alpha_k = k
-  /// in sigma_1 position order); empty = cold solve.  Build
-  /// it with `warm_basis_for` from a structurally adjacent solution.  A
-  /// seed never changes the result -- the engines fall back cold whenever
-  /// it does not fit -- it only reduces pivots; the double path ignores it.
-  std::vector<std::size_t> warm_basis;
-
   /// Effective latencies of platform worker `i`.
   [[nodiscard]] double send_latency_for(std::size_t i) const {
     return send_latencies.empty() ? send_latency : send_latencies[i];
@@ -104,17 +94,6 @@ struct LpOptions {
     return false;
   }
 };
-
-/// Warm-start seed for solving `child` on a platform where worker `w`
-/// received load `parent_alpha[w]` in a structurally adjacent solve: the
-/// alpha columns (in `child`'s sigma_1 numbering) of workers with positive
-/// alpha.  Support-based on the *double* representation deliberately, so a
-/// seed derived from a fresh exact solution and one derived from its cached
-/// double form agree bit-for-bit -- warm pivot counts stay invariant across
-/// cache states and execution modes.  Workers absent from `parent_alpha`
-/// (platform grew) are simply not seeded.
-[[nodiscard]] std::vector<std::size_t> warm_basis_for(
-    const std::vector<double>& parent_alpha, const Scenario& child);
 
 /// Builds the LP for a scenario (exact rational coefficients taken from the
 /// platform's doubles losslessly).  Exposed separately so tests and
@@ -140,13 +119,12 @@ struct LpOptions {
 /// affine latencies the constants may make the scenario infeasible, which
 /// is reported via lp_feasible = false and zero throughput).
 ///
-/// With no `warm_basis`, the double simplex's final basis is certified in
-/// exact integer arithmetic first (see the file comment); a certified
-/// solve reports the double simplex's pivots as `lp_pivots`.  When the
-/// certificate fails, or the double LP is not optimal, the solve runs
+/// The double simplex's final basis is certified in exact integer
+/// arithmetic first (see the file comment); a certified solve reports the
+/// double simplex's pivots as `lp_pivots`.  When the certificate fails, or
+/// the double LP is not optimal, the solve runs
 /// `build_scenario_lp(...).solve_exact()`.  The process metrics count the
-/// two outcomes as `lp.certified` and `lp.certify_fallbacks`.  A
-/// warm-seeded solve crashes its seed into the Bareiss tableau.
+/// two outcomes as `lp.certified` and `lp.certify_fallbacks`.
 [[nodiscard]] ScenarioSolution solve_scenario(const StarPlatform& platform,
                                               const Scenario& scenario,
                                               const LpOptions& options);
@@ -157,8 +135,8 @@ struct LpOptions {
 /// doubles).  Returns platform-indexed alphas and the throughput.  The LP
 /// is built and solved in a workspace each thread owns, so once a thread
 /// has solved its widest scenario, a solve allocates only the result.
-/// Cold exact solves use the same workspace for their double half and
-/// their certificate.
+/// Exact solves use the same workspace for their double half and their
+/// certificate.
 struct ScenarioSolutionD {
   double throughput = 0.0;
   std::vector<double> alpha;

@@ -531,7 +531,7 @@ class ScenarioLpSolver final : public Solver {
     const Scenario scenario =
         request.scenario ? *request.scenario
                          : Scenario::fifo(platform.order_by_c());
-    LpOptions options = request.costs.lp_options(!request.two_port);
+    const LpOptions options = request.costs.lp_options(!request.two_port);
     SolveResult out;
     out.solver = name();
     out.schedule_platform = platform;
@@ -542,11 +542,7 @@ class ScenarioLpSolver final : public Solver {
       out.solution = lift_solution(solve_scenario_double(platform, scenario));
       out.exact = false;
     } else {
-      if (!request.warm_alpha.empty()) {
-        options.warm_basis = warm_basis_for(request.warm_alpha, scenario);
-      }
       out.solution = solve_scenario(platform, scenario, options);
-      out.lp_warm_starts = out.solution.lp_warm_starts;
     }
     if (!out.solution.lp_feasible) {
       out.notes = "affine constants alone exceed the horizon: infeasible";

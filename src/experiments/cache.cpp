@@ -35,15 +35,17 @@ ScenarioSolutionD solution_from_cached(const CachedSolve& solve) {
 
 namespace {
 
+// Version 7 dropped the warm-start counters; version 6 delegated the
+// value encoding to the wire codec; version 4 added the warm-start /
+// pruning counters, version 3 the pivot / fallback / limb-arena counters,
+// version 2 the participant set and the affine replay certificate.
+// Entries of older versions degrade to misses and are re-solved.
+constexpr int kEntryVersion = 7;
+
 std::string serialize(const std::string& canonical_key,
                       const CachedSolve& s) {
   std::ostringstream out;
-  // Version 6 delegated the value encoding to the wire codec; version 4
-  // added the warm-start / pruning counters, version 3 the pivot /
-  // fallback / limb-arena counters, version 2 the participant set and the
-  // affine replay certificate.  Entries of older versions degrade to
-  // misses and are re-solved.
-  out << "dlsched-cache 6\n";
+  out << "dlsched-cache " << kEntryVersion << '\n';
   service::put_blob(out, "key", canonical_key);
   out << service::encode_result_body(s);
   return out.str();
@@ -58,7 +60,7 @@ std::optional<CachedSolve> deserialize(const std::string& text,
     std::string magic;
     int version = 0;
     in >> magic >> version;
-    DLSCHED_EXPECT(magic == "dlsched-cache" && version == 6,
+    DLSCHED_EXPECT(magic == "dlsched-cache" && version == kEntryVersion,
                    "cache entry: bad header");
     in.ignore(1);
     if (service::get_blob(in, "key") != canonical_key) return std::nullopt;

@@ -51,12 +51,9 @@ struct GridSlot {
 
 /// One latency point of a shard: the (send, return) latency coordinates
 /// applied to the shard's generated instance, plus every applicable solver
-/// job on it.  All cells of one shard share the generated platform, which
-/// is what makes the warm-start chain across them legitimate:
-/// `execute_shard` walks the cells in planner order and seeds each
-/// solver's request with the same solver's previous-cell alpha
-/// (`SolveRequest::warm_alpha`, advisory and excluded from cache keys).
-/// Specs without latency axes compile to exactly one cell per shard.
+/// job on it.  All cells of one shard share the generated platform;
+/// `execute_shard` walks them in planner order.  Specs without latency
+/// axes compile to exactly one cell per shard.
 struct GridCell {
   std::optional<double> send_latency;    ///< affine send-latency coordinate
   std::optional<double> return_latency;  ///< affine return-latency coordinate
@@ -70,10 +67,7 @@ struct GridCell {
 /// spec: the generated problem instance plus its latency cells.  The
 /// latency axes fold *inside* the shard (one platform spans the whole
 /// latency surface) so adjacent cells differ only in the latency
-/// constants -- structurally adjacent LPs, which the warm-start chain
-/// exploits.  The chain is deliberately intra-shard only: shards are
-/// stolen and executed out of order across processes, so any cross-shard
-/// seeding would make artifacts depend on the steal schedule.
+/// constants.
 struct CompiledShard {
   std::size_t index = 0;          ///< planner order == emission order
   std::string id;                 ///< stable 32-hex shard id
@@ -132,12 +126,11 @@ struct ShardResult {
 };
 
 /// Executes one shard: per cell, a cache pass, a thread-pooled
-/// `solve_batch` over the misses, and row rendering.  Cells run in order;
-/// each solver's solved alpha is carried into its next-cell request as a
-/// warm-start hint.  The hint is taken from the cached record on a hit
-/// and from the fresh solution on a miss -- bit-identical either way, so
-/// artifacts do not depend on the cache state.  Completed jobs are stored
-/// into the cache as they finish (via the batch progress hook).
+/// `solve_batch` over the misses, and row rendering.  Cells run in order,
+/// and every job solves its cell's request as the planner built it, so a
+/// row does not depend on the cache state or on the other cells.
+/// Completed jobs are stored into the cache as they finish (via the batch
+/// progress hook).
 [[nodiscard]] ShardResult execute_shard(const ExperimentSpec& spec,
                                         const CompiledShard& shard,
                                         ResultCache& cache,

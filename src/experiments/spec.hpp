@@ -31,7 +31,7 @@ enum class SpecKind {
   Selection,      ///< ablation: resource selection vs forced participation
   Multiround,     ///< ablation: rounds x latency makespan surface
   Micro,          ///< substrate microbenchmarks (LP, DES, gemm)
-  Churn,          ///< platform churn: warm vs cold re-solve + retention
+  Churn,          ///< platform churn: re-solve + retention
 };
 
 [[nodiscard]] std::string kind_name(SpecKind kind);

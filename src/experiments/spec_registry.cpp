@@ -232,8 +232,8 @@ std::vector<ExperimentSpec> make_builtins() {
   {
     ExperimentSpec spec = base(
         "churn_surface",
-        "platform churn: warm vs cold re-solve latency and throughput "
-        "retention across chained join/leave/slowdown events",
+        "platform churn: re-solve latency and throughput retention "
+        "across chained join/leave/slowdown events",
         "Section 6 (extended)", SpecKind::Churn);
     spec.generator = "random_star";
     spec.workers = {6, 10};

@@ -46,23 +46,14 @@ class BareissSimplex {
  public:
   explicit BareissSimplex(const DenseLp<numeric::Rational>& lp);
 
+  /// Status, objective, values and pivots; `basis` stays empty.
   [[nodiscard]] Solution<numeric::Rational> solve();
-
-  /// Warm-started solve; same crash / fallback / uniqueness decisions as
-  /// `Simplex<Rational>::solve(seed)`, so the two engines stay
-  /// bit-identical (including `pivots`) under identical seeds.
-  [[nodiscard]] Solution<numeric::Rational> solve(const WarmBasis& seed,
-                                                  WarmInfo* info = nullptr);
 
  private:
   using BigInt = numeric::BigInt;
   using Rational = numeric::Rational;
 
-  Solution<Rational> solve_internal(const WarmBasis* seed, WarmInfo* info);
-  Solution<Rational> solve_cold();
   Solution<Rational> extract_optimal();
-  bool try_crash(const WarmBasis& seed);
-  bool optimum_is_unique() const;
   void build_tableau();
   void load_objective(bool phase1);
   bool run_phase(bool phase1);

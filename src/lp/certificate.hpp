@@ -1,6 +1,6 @@
 // Exact optimality certificate for a basis that a double simplex picked.
 //
-// A double solve is cheap but inexact; a cold exact solve pivots a whole
+// A double solve is cheap but inexact; an exact simplex solve pivots a whole
 // fraction-free tableau.  Between the two sits this check: given the LP
 // over integers and a basis (one column per row), it solves the k x k
 // basis system B x = b and its transpose B^T y = c by fraction-free
@@ -19,10 +19,10 @@
 // bit for bit, whatever pivots that solve would have taken.  x > 0 is
 // stricter than feasibility needs: a basic structural at 0 marks a
 // primal-degenerate vertex, where a ratio test met a tie that the double
-// and the exact simplex may break differently, and it is left to the cold
-// solve.  When a check fails (a degenerate or tied optimum, a basis the
-// double rounding chose wrongly, a singular system) the caller solves
-// cold.
+// and the exact simplex may break differently, and it is left to the
+// exact simplex.  When a check fails (a degenerate or tied optimum, a basis
+// the double rounding chose wrongly, a singular system) the caller pivots
+// the Bareiss tableau instead.
 //
 // Basis columns use `Simplex`'s tableau layout: column j < num_vars is
 // structural j, column num_vars + i is the slack of row i (every row is an

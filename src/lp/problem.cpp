@@ -86,18 +86,6 @@ Solution<Rational> LpProblem::solve_exact(ExactEngine engine) const {
   return solver.solve();
 }
 
-Solution<Rational> LpProblem::solve_exact(ExactEngine engine,
-                                          const WarmBasis& seed,
-                                          WarmInfo* info) const {
-  const DenseLp<Rational> dense = densify<Rational>();
-  if (engine == ExactEngine::Bareiss) {
-    BareissSimplex solver(dense);
-    return solver.solve(seed, info);
-  }
-  Simplex<Rational> solver(dense);
-  return solver.solve(seed, info);
-}
-
 Solution<double> LpProblem::solve_double() const {
   const DenseLp<double> dense = densify<double>();
   Simplex<double> solver(dense);

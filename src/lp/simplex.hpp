@@ -5,7 +5,7 @@
 // returned vertex is a true optimum -- which is what lets the test suite
 // assert the paper's theorems as exact statements.  Instantiated with
 // `double` it is a fast approximate solver used by the benchmark sweeps,
-// and the first half of every cold exact scenario solve: it reports its
+// and the first half of every exact scenario solve: it reports its
 // whole final basis (`Solution::basis`, slack columns included), which
 // `BasisCertificate` (lp/certificate.hpp) then proves optimal and unique
 // in exact integer arithmetic.
@@ -21,7 +21,6 @@
 // thread (core/scenario_lp.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -43,29 +42,6 @@ enum class Status { Optimal, Infeasible, Unbounded };
   }
   return "?";
 }
-
-/// Warm-start seed: the structural variables that were basic at the optimum
-/// of a structurally *adjacent* LP (same variable layout, perturbed data --
-/// one worker added or dropped, a cost nudged).  Indices must be unique and
-/// refer to structural variables only; order is irrelevant.  A seed is a
-/// hint, never a contract: if it is singular or infeasible for the new
-/// instance, or if the warm optimum is not provably unique, the solve falls
-/// back to the cold path, so seeded and unseeded solves always agree.
-struct WarmBasis {
-  std::vector<std::size_t> structurals;
-};
-
-/// Accounting for one warm-started solve attempt.
-struct WarmInfo {
-  bool attempted = false;     ///< a non-empty seed was supplied
-  /// The crash refactorization produced a feasible basis.  False means the
-  /// seed was infeasible (or singular) in this instance -- e.g. a platform
-  /// churn event tightened a row past the seeded vertex -- and the solve
-  /// fell back cold immediately.
-  bool crash_ok = false;
-  bool accepted = false;      ///< crash succeeded and the warm result stands
-  std::size_t crash_pivots = 0;  ///< refactorization pivots spent crashing
-};
 
 /// Dense row kernels of the double pivot: `row[j] *= factor` and
 /// `target[j] -= factor * source[j]` for j in [0, width).  `width` is a
@@ -97,20 +73,18 @@ void sub_scaled_row(T* __restrict target, const T* __restrict source,
 
 /// Result of a solve.  `values` has one entry per structural variable; a
 /// row's slack at the optimum is a function of them (`LpProblem::row_slack`).
-/// `basic_structurals` (sorted) is the warm-start seed for a neighboring
-/// LP.  `basis`, filled by `Simplex`, is the whole final basis, one tableau
+/// `basis`, filled by `Simplex`, is the whole final basis, one tableau
 /// column per row in row order: column j < num_vars is structural j, the
 /// next columns are the slack or surplus of each inequality row in row
 /// order, and the rest are artificials.  It is what `BasisCertificate`
-/// checks (lp/certificate.hpp).  Both are advisory and excluded from the
-/// warm/cold differential guarantee (a degenerate vertex admits several
-/// bases for one optimum).
+/// checks (lp/certificate.hpp).  A degenerate vertex admits several bases
+/// for one optimum, so the basis says how the solve ended, not what the
+/// optimum is.
 template <class T>
 struct Solution {
   Status status = Status::Infeasible;
   T objective{};
   std::vector<T> values;
-  std::vector<std::size_t> basic_structurals;
   std::vector<std::size_t> basis;
   std::size_t pivots = 0;
 };
@@ -208,60 +182,10 @@ class Simplex {
     return out;
   }
 
-  /// Cold solve into `out`, whose vectors keep their capacity.
-  void solve_into(Solution<T>& out) { solve_internal(nullptr, nullptr, out); }
-
-  /// Warm-started solve: crash the seeded basis with one refactorization
-  /// instead of a cold Phase I, then run Bland Phase II.  Falls back to the
-  /// cold path (and keeps the wasted crash pivots in the count -- `pivots`
-  /// reports work done, not cold-path distance) whenever the seed is
-  /// singular/infeasible for this instance or the warm optimum cannot be
-  /// proven unique, so status/objective/values are bit-identical to an
-  /// unseeded solve; only `pivots` may differ.
-  [[nodiscard]] Solution<T> solve(const WarmBasis& seed,
-                                  WarmInfo* info = nullptr) {
-    Solution<T> out;
-    solve_internal(&seed, info, out);
-    return out;
-  }
-
- private:
-  using P = ScalarPolicy<T>;
-
-  void solve_internal(const WarmBasis* seed, WarmInfo* info,
-                      Solution<T>& out) {
+  /// Solves into `out`, whose vectors keep their capacity.
+  void solve_into(Solution<T>& out) {
     DLSCHED_EXPECT(lp_ != nullptr, "simplex: no LP to solve");
     pivots_ = 0;
-    if (seed != nullptr && !seed->structurals.empty()) {
-      if (info != nullptr) info->attempted = true;
-      build_tableau();
-      if (try_crash(*seed)) {
-        if (info != nullptr) info->crash_ok = true;
-        const std::size_t crash_pivots = pivots_;
-        if (!run_phase(/*phase1=*/false)) {
-          // Unboundedness is a property of the (feasible) instance, not of
-          // the starting vertex; the cold path would report it too.
-          if (info != nullptr) {
-            info->accepted = true;
-            info->crash_pivots = crash_pivots;
-          }
-          report(Status::Unbounded, out);
-          return;
-        }
-        if (optimum_is_unique()) {
-          if (info != nullptr) {
-            info->accepted = true;
-            info->crash_pivots = crash_pivots;
-          }
-          extract_optimal(out);
-          return;
-        }
-      }
-    }
-    solve_cold(out);
-  }
-
-  void solve_cold(Solution<T>& out) {
     build_tableau();
     if (has_artificials_) {
       run_phase(/*phase1=*/true);
@@ -278,12 +202,14 @@ class Simplex {
     extract_optimal(out);
   }
 
+ private:
+  using P = ScalarPolicy<T>;
+
   /// A solve that ended without an optimum: no objective, no values.
   void report(Status status, Solution<T>& out) const {
     out.status = status;
     out.objective = T{};
     out.values.clear();
-    out.basic_structurals.clear();
     out.basis.clear();
     out.pivots = pivots_;
   }
@@ -293,14 +219,9 @@ class Simplex {
     out.pivots = pivots_;
     out.objective = objective_value_;
     out.values.assign(lp_->num_vars, T{});
-    out.basic_structurals.clear();
     for (std::size_t i = 0; i < rows_; ++i) {
-      if (basis_[i] < lp_->num_vars) {
-        out.values[basis_[i]] = rhs_[i];
-        out.basic_structurals.push_back(basis_[i]);
-      }
+      if (basis_[i] < lp_->num_vars) out.values[basis_[i]] = rhs_[i];
     }
-    std::sort(out.basic_structurals.begin(), out.basic_structurals.end());
     out.basis.assign(basis_.begin(), basis_.end());
   }
 
@@ -323,71 +244,6 @@ class Simplex {
       }
     }
     return leaving;
-  }
-
-  /// Enters the seeded structural columns into the basis, in ascending
-  /// index order, each via the standard min-ratio leaving row (the same
-  /// Bland-tie-break ratio test run_phase uses).  The ratio test preserves
-  /// primal feasibility at every step, so the crash never has to guess
-  /// which slack a seeded column should displace -- picking wrong is what
-  /// made a forced row assignment fail on degenerate scenario optima where
-  /// a participating worker's binding row is the one-port row rather than
-  /// its own chain row.  Returns false (leaving the caller to fall back
-  /// cold) when the seed is malformed, when a seeded column cannot enter
-  /// (no positive entry), when a later seeded column displaces an earlier
-  /// one -- the ratio-test signature of a seed that is infeasible for this
-  /// instance -- or when an artificial stays basic at a nonzero value.
-  bool try_crash(const WarmBasis& seed) {
-    // pivot() maintains the reduced-cost row; no phase objective is loaded
-    // during the crash, so park a zero row there (run_phase reloads it).
-    reduced_.assign(stride_, T{});
-    objective_value_ = T{};
-    std::vector<std::size_t> order = seed.structurals;
-    std::sort(order.begin(), order.end());
-    for (std::size_t col : order) {
-      if (col >= lp_->num_vars) return false;  // malformed seed
-      bool already_basic = false;
-      for (std::size_t b : basis_) {
-        if (b == col) {
-          already_basic = true;
-          break;
-        }
-      }
-      if (already_basic) continue;
-      const std::size_t leaving = leaving_row(col);
-      if (leaving == rows_) return false;  // column cannot enter
-      pivot(leaving, col);
-    }
-    // Success means the whole seed made it in: a displaced seeded column
-    // stays out (one pass, no retries), which is exactly how an infeasible
-    // seed manifests when every pivot is feasibility-preserving.
-    std::vector<bool> basic(width_, false);
-    for (std::size_t b : basis_) basic[b] = true;
-    for (std::size_t col : order) {
-      if (!basic[col]) return false;
-    }
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (P::is_negative(rhs_[i])) return false;  // double-drift tripwire
-      if (basis_[i] >= first_artificial_ && !P::is_zero(rhs_[i])) return false;
-    }
-    // Any artificial still basic sits at zero, exactly the post-Phase-I
-    // situation; reuse the same expulsion step before Phase II.
-    if (has_artificials_) expel_basic_artificials();
-    return true;
-  }
-
-  /// True when every nonbasic, admissible column has strictly negative
-  /// reduced cost at the current optimum: the optimal *solution* is then
-  /// unique, so a warm result is forced to coincide bit-for-bit with the
-  /// cold one.  Conservative by design -- a degenerate dual triggers a
-  /// cold fallback even when the optimum happens to be unique.
-  bool optimum_is_unique() const {
-    std::vector<bool> basic(width_, false);
-    for (std::size_t b : basis_) basic[b] = true;
-    for (std::size_t j = 0; j < first_artificial_; ++j) {
-      if (!basic[j] && P::is_zero(reduced_[j])) return false;
-    }
-    return true;
   }
 
   /// A row with a negative right-hand side is negated on entry, which

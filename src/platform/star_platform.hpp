@@ -14,7 +14,7 @@ namespace dlsched {
 class StarPlatform {
  public:
   StarPlatform() = default;
-  /// Validates every worker: c > 0, w > 0, d >= 0.
+  /// Validates every worker: c > 0, w > 0, d >= 0, all three finite.
   explicit StarPlatform(std::vector<Worker> workers);
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }

@@ -137,8 +137,6 @@ SolveRecord record_from_outcome(const BatchOutcome& outcome) {
   record.best_rounds = result.best_rounds;
   record.lp_pivots = result.solution.lp_pivots;
   record.lp_fallbacks = result.lp_fallbacks;
-  record.lp_warm_starts = result.lp_warm_starts;
-  record.lp_pivots_saved = result.lp_pivots_saved;
   record.subsets_pruned = result.subsets_pruned;
   record.subsets_screened = result.subsets_screened;
   record.arena_acquires = result.arena_acquires;
@@ -166,8 +164,6 @@ void append_result_fields(experiments::JsonObject& row,
       .add("lp_evaluations", s.lp_evaluations)
       .add("lp_pivots", s.lp_pivots)
       .add("lp_fallbacks", s.lp_fallbacks)
-      .add("lp_warm_starts", s.lp_warm_starts)
-      .add("lp_pivots_saved", s.lp_pivots_saved)
       .add("subsets_pruned", s.subsets_pruned)
       .add("subsets_screened", s.subsets_screened)
       .add("arena_acquires", static_cast<std::size_t>(s.arena_acquires))
@@ -188,10 +184,12 @@ void append_result_fields(experiments::JsonObject& row,
 // ----------------------------------------------------------- result body --
 
 namespace {
+// Version 2 of the result and request bodies dropped the warm-start
+// counters and the warm-start hint.
 constexpr const char* kResultMagic = "dlsched-wire-result";
-constexpr int kResultVersion = 1;
+constexpr int kResultVersion = 2;
 constexpr const char* kRequestMagic = "dlsched-wire-request";
-constexpr int kRequestVersion = 1;
+constexpr int kRequestVersion = 2;
 constexpr const char* kRejectMagic = "dlsched-wire-reject";
 constexpr int kRejectVersion = 1;
 }  // namespace
@@ -207,8 +205,7 @@ std::string encode_result_body(const SolveRecord& s) {
       << ' ' << s.replayed << '\n';
   out << "counts " << s.workers_used << ' ' << s.scenarios_tried << ' '
       << s.lp_evaluations << ' ' << s.best_rounds << ' ' << s.lp_pivots
-      << ' ' << s.lp_fallbacks << ' ' << s.lp_warm_starts << ' '
-      << s.lp_pivots_saved << ' ' << s.subsets_pruned << ' '
+      << ' ' << s.lp_fallbacks << ' ' << s.subsets_pruned << ' '
       << s.subsets_screened << ' ' << s.arena_acquires << ' '
       << s.arena_pool_hits << '\n';
   out << "scalars ";
@@ -244,9 +241,8 @@ SolveRecord decode_result_body(std::string_view body) {
       s.replayed;
   expect_label(in, "counts", "counts");
   in >> s.workers_used >> s.scenarios_tried >> s.lp_evaluations >>
-      s.best_rounds >> s.lp_pivots >> s.lp_fallbacks >> s.lp_warm_starts >>
-      s.lp_pivots_saved >> s.subsets_pruned >> s.subsets_screened >>
-      s.arena_acquires >> s.arena_pool_hits;
+      s.best_rounds >> s.lp_pivots >> s.lp_fallbacks >> s.subsets_pruned >>
+      s.subsets_screened >> s.arena_acquires >> s.arena_pool_hits;
   expect_label(in, "scalars", "scalars");
   s.throughput = get_double(in);
   s.alt_throughput = get_double(in);
@@ -310,7 +306,6 @@ std::string encode_request_body(const std::string& solver,
   out << "guards " << r.max_workers_brute << ' ' << r.max_workers_subset
       << ' ' << r.local_search_restarts << ' ' << r.local_search_max_steps
       << ' ' << r.max_rounds << '\n';
-  put_doubles(out, "warm", r.warm_alpha);
   out << "end\n";
   return out.str();
 }
@@ -339,8 +334,8 @@ WireRequest decode_request_body(std::string_view body) {
     DLSCHED_EXPECT(!in.fail(), "wire body: truncated worker costs");
     workers.push_back(std::move(w));
   }
-  // The StarPlatform constructor re-validates (c > 0, w > 0, d >= 0), so a
-  // malformed request fails here, not deep inside a solver.
+  // The StarPlatform constructor re-validates (c > 0, w > 0, d >= 0, all
+  // finite), so a malformed request fails here, not deep inside a solver.
   r.platform = StarPlatform(std::move(workers));
   bool has_scenario = false;
   expect_label(in, "scenario", "scenario presence");
@@ -374,7 +369,6 @@ WireRequest decode_request_body(std::string_view body) {
   in >> r.max_workers_brute >> r.max_workers_subset >>
       r.local_search_restarts >> r.local_search_max_steps >> r.max_rounds;
   DLSCHED_EXPECT(!in.fail(), "wire body: truncated guards");
-  r.warm_alpha = get_doubles(in, "warm");
   std::string label;
   in >> label;
   DLSCHED_EXPECT(label == "end" && !in.fail(),

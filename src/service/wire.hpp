@@ -98,8 +98,6 @@ struct SolveRecord {
   std::size_t best_rounds = 0;
   std::size_t lp_pivots = 0;           ///< simplex pivots of the final LP
   std::size_t lp_fallbacks = 0;        ///< Fast mode: exact re-solves
-  std::size_t lp_warm_starts = 0;      ///< exact solves with accepted seed
-  std::size_t lp_pivots_saved = 0;     ///< pivots under the chain's cold ref
   std::size_t subsets_pruned = 0;      ///< bound-pruned subset candidates
   std::size_t subsets_screened = 0;    ///< margin-screened subset candidates
   std::uint64_t arena_acquires = 0;    ///< limb-arena buffer requests
@@ -130,7 +128,7 @@ void append_result_fields(experiments::JsonObject& row,
 
 /// A decoded solve-request frame: the solver name plus the full request.
 /// Unlike `request_canonical_key` (a one-way identity), this codec is
-/// reversible and carries worker names and the warm-start hint.
+/// reversible and carries worker names.
 struct WireRequest {
   std::string solver;
   SolveRequest request;

@@ -103,11 +103,11 @@ TEST(Affine, SubsetGuardRejectsLargePlatforms) {
       Error);
 }
 
-TEST(Affine, PruningAndWarmStartsNeverChangeTheWinner) {
+TEST(Affine, PruningNeverChangesTheWinner) {
   // The Gray-code scan with the one-port upper-bound pruning and the
-  // warm-start chain must return exactly the plain enumeration's result:
+  // margin screen must return exactly the plain enumeration's result:
   // same winner, same solution bit for bit, same subsets_tried ledger --
-  // only the pruned/warm counters and pivot totals may differ.
+  // only the pruned/screened counters and pivot totals may differ.
   Rng rng(225);
   for (int iter = 0; iter < 6; ++iter) {
     const StarPlatform platform = gen::random_star(5, rng, 0.5, 0.05, 0.3);
@@ -117,7 +117,6 @@ TEST(Affine, PruningAndWarmStartsNeverChangeTheWinner) {
     costs.return_latency = rng.uniform(0.0, 0.04);
 
     affine::AffineSubsetOptions plain;
-    plain.warm_start = false;
     plain.prune = false;
     plain.screen = false;
     const auto baseline =
@@ -136,7 +135,6 @@ TEST(Affine, PruningAndWarmStartsNeverChangeTheWinner) {
               tuned.subsets_tried);
     EXPECT_EQ(baseline.subsets_pruned, 0u);
     EXPECT_EQ(baseline.subsets_screened, 0u);
-    EXPECT_EQ(baseline.lp_warm_starts, 0u);
   }
 }
 

@@ -243,8 +243,10 @@ TEST(AffineSelection, SubsetEnumerationHonoursTheTimeBudget) {
   const StarPlatform platform = gen::random_star(10, rng, 0.5, 0.05, 0.3);
   AffineCosts costs;
   costs.send_latency = 0.01;
+  affine::AffineSubsetOptions options;
+  options.time_budget_seconds = 1e-9;
   const auto budgeted =
-      affine::solve_affine_fifo_best_subset(platform, costs, 12, 1e-9);
+      affine::solve_affine_fifo_best_subset(platform, costs, options);
   EXPECT_TRUE(budgeted.budget_exhausted);
   EXPECT_LT(budgeted.subsets_tried, (std::size_t{1} << 10) - 1);
 }

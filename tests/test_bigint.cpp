@@ -3,10 +3,15 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <thread>
 #include <vector>
 
+#include "core/scenario_lp.hpp"
 #include "numeric/bigint.hpp"
+#include "numeric/limb_arena.hpp"
+#include "platform/generators.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dlsched::numeric {
 namespace {
@@ -671,6 +676,27 @@ TEST(BigIntPinned, ConversionsMatchThePinnedTable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntRandomized,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ----------------------------------------------------------- arena totals --
+
+TEST(LimbArena, AggregateSumsAcrossThreads) {
+  // The aggregate accessor must fold exited worker threads' counters in
+  // and never lose counts relative to the per-thread snapshots.
+  const auto before = numeric::limb_arena_aggregate_stats();
+  std::uint64_t thread_local_acquires = 0;
+  std::thread worker([&] {
+    Rng rng(707);
+    const StarPlatform platform = gen::random_star(6, rng, 0.5);
+    const Scenario scenario = Scenario::fifo(platform.order_by_c());
+    (void)solve_scenario(platform, scenario);
+    thread_local_acquires = numeric::limb_arena_stats().acquires;
+  });
+  worker.join();
+  const auto after = numeric::limb_arena_aggregate_stats();
+  EXPECT_GT(thread_local_acquires, 0u);
+  EXPECT_GE(after.acquires - before.acquires, thread_local_acquires);
+  EXPECT_GE(after.pool_hits, before.pool_hits);
+}
 
 }  // namespace
 }  // namespace dlsched::numeric

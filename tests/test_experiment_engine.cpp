@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "experiments/engine.hpp"
@@ -466,6 +467,33 @@ TEST(ExperimentEngine, CorruptCacheEntryDegradesToAMiss) {
   for (const auto& entry : fs::directory_iterator(scratch.dir())) {
     std::ofstream(entry.path(), std::ios::trunc) << "garbage";
   }
+  const CachedRun again = run_solver_cached(cache, "lifo", request);
+  EXPECT_FALSE(again.from_cache);
+  EXPECT_TRUE(again.solve.solved);
+}
+
+TEST(ExperimentEngine, AnEntryOfTheFormerVersionDegradesToAMiss) {
+  // Version 6 entries carried the warm-start counters: relabelled as
+  // such, a current entry must read as a miss and be solved again.
+  ScratchDir scratch("former");
+  ResultCache cache(scratch.dir());
+  Rng rng(8);
+  SolveRequest request;
+  request.platform = gen::random_star(3, rng, 0.5);
+  (void)run_solver_cached(cache, "lifo", request);
+  ASSERT_TRUE(run_solver_cached(cache, "lifo", request).from_cache);
+  const std::string current = "dlsched-cache 7\n";
+  std::size_t relabelled = 0;
+  for (const auto& entry : fs::directory_iterator(scratch.dir())) {
+    std::ifstream in(entry.path());
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    if (text.rfind(current, 0) != 0) continue;
+    std::ofstream(entry.path(), std::ios::trunc)
+        << "dlsched-cache 6\n" << text.substr(current.size());
+    ++relabelled;
+  }
+  ASSERT_EQ(relabelled, 1u);
   const CachedRun again = run_solver_cached(cache, "lifo", request);
   EXPECT_FALSE(again.from_cache);
   EXPECT_TRUE(again.solve.solved);

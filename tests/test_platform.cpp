@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "platform/generators.hpp"
 #include "platform/matrix_app.hpp"
 #include "platform/star_platform.hpp"
@@ -22,6 +24,18 @@ TEST(StarPlatform, ValidatesParameters) {
   EXPECT_THROW(StarPlatform({Worker{1.0, 0.0, 1.0, ""}}), Error);
   EXPECT_THROW(StarPlatform({Worker{1.0, 1.0, -1.0, ""}}), Error);
   EXPECT_NO_THROW(StarPlatform({Worker{1.0, 1.0, 0.0, ""}}));
+}
+
+TEST(StarPlatform, RejectsInfiniteConstants) {
+  // +inf passes every sign test, so finiteness is checked on its own.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(StarPlatform({Worker{0.1, 0.2, 0.05, "P1"},
+                             Worker{0.2, inf, 0.1, "P2"}}),
+               Error);
+  EXPECT_THROW(StarPlatform({Worker{inf, 1.0, 1.0, ""}}), Error);
+  EXPECT_THROW(StarPlatform({Worker{1.0, 1.0, inf, ""}}), Error);
+  const double big = std::numeric_limits<double>::max();
+  EXPECT_NO_THROW(StarPlatform({Worker{big, big, big, ""}}));
 }
 
 TEST(StarPlatform, AutoNamesWorkers) {

@@ -61,6 +61,8 @@ TEST(PlatformIo, RejectsInvalidParameters) {
   // c = 0 violates the platform invariant; the error surfaces on
   // construction.
   EXPECT_THROW(parse_platform_text("a 0 0.3 0.05\n"), Error);
+  // std::stod reads "inf"; the platform refuses the infinite constant.
+  EXPECT_THROW(parse_platform_text("P1 0.1 inf 0.05\n"), Error);
 }
 
 TEST(PlatformIo, ErrorsMentionTheLineNumber) {

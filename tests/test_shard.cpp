@@ -201,8 +201,7 @@ TEST(ShardPlanner, UnionOfShardsIsTheFullGrid) {
 TEST(ShardPlanner, SlotHashesAreTheJobHashesOfTheirCells) {
   // The planner's hash is reused as the cache file name and the batch
   // dedupe identity, so it must be exactly job_hash_hex of the cell's
-  // request -- also on latency cells with per-worker overrides, and for
-  // the warm-hinted copies execute_shard solves.
+  // request -- also on latency cells with per-worker overrides.
   ExperimentSpec latency = small_grid_spec();
   latency.generator = "correlated";
   latency.generator_params = {{"lat_lo", 0.5}, {"lat_hi", 1.5}};
@@ -213,12 +212,9 @@ TEST(ShardPlanner, SlotHashesAreTheJobHashesOfTheirCells) {
   for (const ExperimentSpec& spec : {small_grid_spec(), latency}) {
     for (const CompiledShard& shard : plan_shards(spec)) {
       for (const GridCell& cell : shard.cells) {
-        SolveRequest hinted = cell.request;
-        hinted.warm_alpha.assign(cell.request.platform.size(), 0.5);
         for (const GridSlot& slot : cell.slots) {
           EXPECT_EQ(slot.job_hash, job_hash_hex(slot.solver, cell.request))
               << shard.id << ' ' << slot.solver;
-          EXPECT_EQ(slot.job_hash, job_hash_hex(slot.solver, hinted));
           ++slots;
         }
       }

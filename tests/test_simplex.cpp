@@ -297,7 +297,7 @@ std::uint64_t fold_solution(std::uint64_t h, const Solution<double>& s) {
   h = fold(h, static_cast<std::uint64_t>(s.status));
   h = fold(h, std::bit_cast<std::uint64_t>(s.objective));
   for (const double v : s.values) h = fold(h, std::bit_cast<std::uint64_t>(v));
-  for (const std::size_t b : s.basic_structurals) h = fold(h, b);
+  for (const std::size_t b : s.basis) h = fold(h, b);
   return fold(h, s.pivots);
 }
 
@@ -365,10 +365,11 @@ TEST(SimplexDoublePin, SolvesEveryLpToThePinnedBits) {
   // The double engine's status, objective and value bits, basis and pivot
   // counts over scenario LPs of every generator family (p 1-12, z 0.35 and
   // 2.5; FIFO, LIFO, general and random-subset scenarios; both port
-  // models; no, scalar, infeasible and per-worker latencies), cold and
-  // warm-started from the cold basis, plus 2,000 mixed-relation LPs that
-  // run phase 1 and expel artificials.  The digest was recorded with the
-  // pivot that still tested every entry for zero.
+  // models; no, scalar, infeasible and per-worker latencies), plus 2,000
+  // mixed-relation LPs that run phase 1 and expel artificials.  The
+  // digest was recorded with the pivot that still tested every entry for
+  // zero, then re-recorded on that code without the warm-started solves
+  // and with the whole basis in place of its basic structurals.
   const gen::GeneratorRegistry& registry = gen::GeneratorRegistry::instance();
   Rng rng(2020);
   std::uint64_t digest = 0;
@@ -399,14 +400,10 @@ TEST(SimplexDoublePin, SolvesEveryLpToThePinnedBits) {
           for (const dlsched::LpOptions& options : pin_variants(n, rng)) {
             const DenseLp<double> lp =
                 build_scenario_lp_double(platform, scenario, options);
-            const Solution<double> cold = Simplex<double>(lp).solve();
-            digest = fold_solution(digest, cold);
-            infeasible += cold.status == Status::Infeasible;
+            const Solution<double> solution = Simplex<double>(lp).solve();
+            digest = fold_solution(digest, solution);
+            infeasible += solution.status == Status::Infeasible;
             ++lps;
-            if (cold.status != Status::Optimal) continue;
-            digest = fold_solution(
-                digest,
-                Simplex<double>(lp).solve(WarmBasis{cold.basic_structurals}));
           }
         }
       }
@@ -418,7 +415,7 @@ TEST(SimplexDoublePin, SolvesEveryLpToThePinnedBits) {
   }
   EXPECT_EQ(lps, 10448u);
   EXPECT_GT(infeasible, 0u);
-  EXPECT_EQ(digest, 0xb2bc9f6f8472f7ecULL);
+  EXPECT_EQ(digest, 0x9ee0c0541ac8b54aULL);
 }
 
 // ------------------------------------------- the optimal-basis certificate --
@@ -504,11 +501,13 @@ TEST(BasisCertificate, RejectsBasesThatAreNotOptimalFeasibleOrWellFormed) {
 TEST(BasisCertificate, RejectsABasicStructuralAtZero) {
   // max x + y  s.t. x + y <= 0, x + 2y <= 1: the only feasible point with
   // x + y = 0 on both axes is the origin, reached by a degenerate pivot
-  // that leaves x basic at 0.
+  // that leaves x basic at 0 in the first row (column 3 is the second
+  // row's slack).
   const IntegerLp lp = integer_lp({{1, 1, 0}, {1, 2, 1}}, {1, 1});
   const Solution<double> approx = rational_lp(lp).solve_double();
   ASSERT_EQ(approx.status, Status::Optimal);
-  EXPECT_EQ(approx.basic_structurals, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(approx.basis, (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(approx.values[0], 0.0);
   EXPECT_FALSE(certifies(lp, approx.basis));
 }
 

@@ -38,8 +38,6 @@ SolveRecord sample_record() {
   r.best_rounds = 2;
   r.lp_pivots = 31;
   r.lp_fallbacks = 1;
-  r.lp_warm_starts = 4;
-  r.lp_pivots_saved = 9;
   r.subsets_pruned = 5;
   r.subsets_screened = 11;
   r.arena_acquires = 101;
@@ -64,7 +62,6 @@ SolveRequest sample_request() {
   request.seed = 42;
   request.time_budget_seconds = 0.125;
   request.max_workers_subset = 9;
-  request.warm_alpha = {0.1, 0.2, 0.7};
   return request;
 }
 
@@ -83,7 +80,6 @@ TEST(WireBodies, ResultRoundTripsBitExactly) {
   }
   EXPECT_EQ(back.send_order, r.send_order);
   EXPECT_EQ(back.participants, r.participants);
-  EXPECT_EQ(back.lp_warm_starts, r.lp_warm_starts);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(back.wall_seconds),
             std::bit_cast<std::uint64_t>(r.wall_seconds));
 }
@@ -97,7 +93,7 @@ TEST(WireBodies, UnsolvedResultCarriesTheErrorText) {
   EXPECT_EQ(back.error, r.error);
 }
 
-TEST(WireBodies, RequestRoundTripsIdentityAndHint) {
+TEST(WireBodies, RequestRoundTripsIdentityAndNames) {
   const SolveRequest request = sample_request();
   const std::string body = encode_request_body("scenario_lp", request);
   const WireRequest back = decode_request_body(body);
@@ -106,8 +102,7 @@ TEST(WireBodies, RequestRoundTripsIdentityAndHint) {
   // the daemon solves exactly the job the client described.
   EXPECT_EQ(request_canonical_key(back.request),
             request_canonical_key(request));
-  // And the non-identity extras survive too.
-  EXPECT_EQ(back.request.warm_alpha, request.warm_alpha);
+  // And the worker names, which the key leaves out, survive too.
   EXPECT_EQ(back.request.platform.worker(1).name,
             request.platform.worker(1).name);
   EXPECT_EQ(encode_request_body(back.solver, back.request), body);
@@ -125,6 +120,51 @@ TEST(WireBodies, MalformedBodiesThrowInsteadOfMisparsing) {
   EXPECT_THROW(
       (void)decode_request_body(request.substr(0, request.size() - 10)),
       Error);
+}
+
+/// `body` with its first line replaced by `header`.
+std::string with_header(const std::string& body, const std::string& header) {
+  return header + body.substr(body.find('\n'));
+}
+
+/// The message of the `Error` that decoding `body` throws.
+template <class Decode>
+std::string decode_error(Decode decode, const std::string& body) {
+  try {
+    (void)decode(body);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WireBodies, FormerVersionBodiesAreRefusedByName) {
+  // Version 1 bodies carried the warm-start counters and hint; a decoder
+  // of version 2 names the header it expects instead of misreading them.
+  const std::string result = encode_result_body(sample_record());
+  const std::string request =
+      encode_request_body("fifo_optimal", sample_request());
+  EXPECT_EQ(result.rfind("dlsched-wire-result 2\n", 0), 0u);
+  EXPECT_EQ(request.rfind("dlsched-wire-request 2\n", 0), 0u);
+  EXPECT_NE(decode_error(decode_result_body,
+                         with_header(result, "dlsched-wire-result 1"))
+                .find("'dlsched-wire-result 2' header"),
+            std::string::npos);
+  EXPECT_NE(decode_error(decode_request_body,
+                         with_header(request, "dlsched-wire-request 1"))
+                .find("'dlsched-wire-request 2' header"),
+            std::string::npos);
+}
+
+TEST(WireBodies, AnInfiniteWorkerCostIsRefusedAtDecode) {
+  // The first worker's w as the bits of +inf: the platform constructor
+  // refuses it, so the request never reaches a solver.
+  std::string body = encode_request_body("fifo_optimal", sample_request());
+  const std::size_t cwd = body.find("\ncwd ") + 5;
+  const std::size_t w = body.find(' ', cwd) + 1;
+  body.replace(w, body.find(' ', w) - w, "7ff0000000000000");
+  EXPECT_NE(decode_error(decode_request_body, body).find("finite"),
+            std::string::npos);
 }
 
 TEST(WireBodies, RejectRoundTrips) {
@@ -248,10 +288,10 @@ TEST(WireBodies, CanonicalJsonFieldListMatchesTheGridRowOrder) {
       "throughput",     "workers_used",    "validated",
       "provably_optimal", "exact",         "scenarios_tried",
       "lp_evaluations", "lp_pivots",       "lp_fallbacks",
-      "lp_warm_starts", "lp_pivots_saved", "subsets_pruned",
-      "subsets_screened", "arena_acquires", "arena_pool_hits",
-      "participants",   "replay_makespan", "replay_rel_error",
-      "alt_throughput", "wall_seconds",    "validate_seconds"};
+      "subsets_pruned", "subsets_screened", "arena_acquires",
+      "arena_pool_hits", "participants",   "replay_makespan",
+      "replay_rel_error", "alt_throughput", "wall_seconds",
+      "validate_seconds"};
   std::size_t at = 0;
   for (const char* field : expected) {
     const std::size_t found =
